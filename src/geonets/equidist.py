@@ -11,6 +11,7 @@ average.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -277,20 +278,24 @@ def _net_psi_averages(net: GammaNet, metric: Surface, bumps: BumpSystem):
 
 
 def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
-    """Volume average of every psi_k with one pass over the quadrature grid."""
-    key = (id(metric), n)
+    """Volume average of every psi_k with one pass over the quadrature grid.
+
+    Cached on the bump system per metric object (held weakly, so a freed
+    metric's entry goes with it) and grid size.
+    """
     cache = getattr(bumps, "_avg_cache", None)
     if cache is None:
-        cache = bumps._avg_cache = {}
-    if key not in cache:
+        cache = bumps._avg_cache = weakref.WeakKeyDictionary()
+    per_metric = cache.setdefault(metric, {})
+    if n not in per_metric:
         sums = np.zeros(bumps.K)
         total = 0.0
         for chart, pts, w in metric.quadrature(n):
             dens = w * np.sqrt(np.linalg.det(metric.metric(chart, pts)))
             sums += bumps.psi_values(chart, pts) @ dens
             total += float(np.sum(dens))
-        cache[key] = sums / total
-    return cache[key]
+        per_metric[n] = sums / total
+    return per_metric[n]
 
 
 def discrepancy(family: WeightedNetFamily, metric: Surface,
@@ -492,16 +497,18 @@ def _merge_schedule(blocks, length_fn):
 
     R_m is the smallest integer making block m's repeated total length at
     least m times everything emitted before it (R = 1 for the first
-    block).  Returns (reps, unit lengths) without emitting anything; the
-    emitted totals grow super-exponentially in m.
+    block).  Returns (reps, unit lengths) without emitting anything.  The
+    emitted totals grow super-exponentially in m, beyond the float range
+    near 200 blocks, so the counts are Python integers and the unit
+    lengths exact fractions of the float inputs.
     """
     reps, unit_lengths = [], []
-    emitted = 0.0
+    emitted = Fraction(0)
     for nets, (c_list, _d), m in blocks:
         if not nets or all(c == 0 for c in c_list):
             raise ValueError(f"block {m} is empty")
-        unit_len = sum(c * length_fn(net) for net, c in zip(nets, c_list))
-        r = 1 if emitted == 0.0 else max(1, math.ceil(m * emitted / unit_len))
+        unit_len = sum(c * Fraction(float(length_fn(net))) for net, c in zip(nets, c_list))
+        r = 1 if emitted == 0 else max(1, math.ceil(m * emitted / unit_len))
         reps.append(r)
         unit_lengths.append(unit_len)
         emitted += r * unit_len
@@ -516,13 +523,12 @@ def merged_block_ratios(blocks, value_fn, length_fn):
     is the line integral of the test function over one copy of the net.
     """
     reps, unit_lengths = _merge_schedule(blocks, length_fn)
-    num = den = 0.0
+    num = den = Fraction(0)
     out = []
     for (nets, (c_list, _d), _m), r, ul in zip(blocks, reps, unit_lengths):
-        unit_val = sum(c * value_fn(net) for net, c in zip(nets, c_list))
-        num += r * unit_val
+        num += r * sum(c * Fraction(float(value_fn(net))) for net, c in zip(nets, c_list))
         den += r * ul
-        out.append(num / den)
+        out.append(float(num / den))
     return np.asarray(out)
 
 
@@ -532,9 +538,8 @@ def merge_sequences(blocks, metric: Surface = None, length_fn=None,
 
     ``blocks`` is a list of (nets, (c_list, d), m).  Block m's unit is
     net j repeated c_j times; the unit is emitted R_m times, with R_m
-    the smallest integer making the repeated block's total length at
-    least m times everything emitted before it (R = 1 for the first
-    block).  Returns (sequence, index_map) with index_map[i] = (m, j).
+    from :func:`_merge_schedule`.  Returns (sequence, index_map) with
+    index_map[i] = (m, j).
 
     The schedule grows super-exponentially in m; when more than
     ``max_emit`` entries would be emitted a ValueError is raised and the
@@ -544,30 +549,19 @@ def merge_sequences(blocks, metric: Surface = None, length_fn=None,
         if metric is None:
             raise ValueError("either a metric or a length function is required")
         length_fn = lambda net: net.length(metric)
+    reps, _ = _merge_schedule(blocks, length_fn)
     sequence, index_map = [], []
-    emitted_length = 0.0
-    for nets, (c_list, _d), m in blocks:
-        if not nets or all(c == 0 for c in c_list):
-            raise ValueError(f"block {m} is empty")
-        unit = []
-        unit_len = 0.0
-        for j, (net, c) in enumerate(zip(nets, c_list)):
-            for _ in range(c):
-                unit.append((net, (m, j)))
-                unit_len += length_fn(net)
-        if emitted_length == 0.0:
-            reps = 1
-        else:
-            reps = max(1, math.ceil(m * emitted_length / unit_len))
-        if len(sequence) + reps * len(unit) > max_emit:
+    for (nets, (c_list, _d), m), r in zip(blocks, reps):
+        unit = [(net, (m, j)) for j, (net, c) in enumerate(zip(nets, c_list))
+                for _ in range(c)]
+        if len(sequence) + r * len(unit) > max_emit:
             raise ValueError(
                 f"merged sequence exceeds {max_emit} entries at block {m}; "
                 "use merged_block_ratios for the closed-form running ratio")
-        for _ in range(reps):
+        for _ in range(r):
             for net, tag in unit:
                 sequence.append(net)
                 index_map.append(tag)
-        emitted_length += reps * unit_len
     return sequence, index_map
 
 

@@ -4,12 +4,16 @@ The solver minimizes total (multiplicity-weighted) length over vertex
 positions and edge interior samples with an analytic gradient and
 L-BFGS line search; stationarity is reported as a discrete geodesic
 curvature per edge, a weighted inward-tangent balance per vertex and the
-l2 norm of the full length gradient.
+l2 norm of the full length gradient.  One sparse central-difference
+Hessian of the discrete length serves the Newton polish, the branch
+tracker and the second-variation spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import count
 
 import numpy as np
 from scipy.optimize import minimize
@@ -115,6 +119,42 @@ class _Dofs:
             ofs += 2 * m
         return net
 
+    @cached_property
+    def hessian_groups(self):
+        """Column groups of a distance-2 colouring of the sample chains.
+
+        Point p (vertex or interior sample, in dof order) owns dofs 2p and
+        2p + 1, and its gradient rows depend only on p and its neighbours
+        along the chain v0, samples, v1 of each edge.  Points at least 3
+        apart therefore touch disjoint rows and share one central
+        difference.  Per group: the perturbed dofs and the (row, column)
+        pairs that difference fills.
+        """
+        nbrs = [set() for _ in range(self.size // 2)]
+        ofs = self.nv
+        for e, m in zip(self.net.graph.edges, self.interior_counts):
+            chain = [self.vindex[e.v0], *range(ofs, ofs + m), self.vindex[e.v1]]
+            for a, b in zip(chain[:-1], chain[1:]):
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            ofs += m
+        colour = []
+        for p, near in enumerate(nbrs):
+            taken = {colour[r] for q in near for r in (q, *nbrs[q]) if r < p}
+            colour.append(next(c for c in count() if c not in taken))
+        colour = np.asarray(colour)
+        groups = []
+        for c in range(int(colour.max()) + 1):
+            points = np.flatnonzero(colour == c)
+            for k in (0, 1):
+                rows, cols = [], []
+                for p in points:
+                    for q in nbrs[p] | {p}:
+                        rows += [2 * q, 2 * q + 1]
+                        cols += [2 * p + k] * 2
+                groups.append((2 * points + k, np.asarray(rows), np.asarray(cols)))
+        return groups
+
     def scatter_point_grads(self, point_grads):
         """Accumulate per-edge sample gradients into the dof gradient."""
         g = np.zeros(self.size)
@@ -152,6 +192,43 @@ def _length_and_point_grads(net: GammaNet, metric: Surface):
         gp[:-1] += np.where(seg[:, None] > 0.0, (-gd + 0.25 * q) / safe, 0.0)
         point_grads.append(e.mult * gp)
     return total, point_grads
+
+
+def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
+    """Discrete length and its gradient at the dof vector ``x``."""
+    L, pg = _length_and_point_grads(dofs.unpack(x), metric)
+    return L, dofs.scatter_point_grads(pg)
+
+
+#: central-difference step of the length Hessian; its O(h^2) truncation
+#: stays far below the 1e-6 Jacobi-field threshold of is_nondegenerate
+_FD_STEP = 1e-6
+#: relative eigenvalue cutoff of the Newton pseudo-inverse
+_PINV_RCOND = 1e-7
+
+
+def _length_hessian(dofs: _Dofs, metric: Surface, x):
+    """Symmetrised central-difference Hessian of the discrete length at ``x``.
+
+    Columns of one colour group are perturbed together (two gradient
+    evaluations per group, see :attr:`_Dofs.hessian_groups`); each entry
+    equals the one-column central difference at the same step.
+    """
+    H = np.zeros((dofs.size, dofs.size))
+    for cols, rows, at in dofs.hessian_groups:
+        step = np.zeros(dofs.size)
+        step[cols] = _FD_STEP
+        diff = (_length_and_dof_grad(dofs, metric, x + step)[1]
+                - _length_and_dof_grad(dofs, metric, x - step)[1]) / (2 * _FD_STEP)
+        H[rows, at] = diff[rows]
+    return 0.5 * (H + H.T)
+
+
+def _pseudo_inverse(H):
+    """Symmetric pseudo-inverse dropping |lambda| <= _PINV_RCOND * max|lambda|."""
+    lam, V = np.linalg.eigh(H)
+    keep = np.abs(lam) > _PINV_RCOND * np.max(np.abs(lam))
+    return (V[:, keep] / lam[keep]) @ V[:, keep].T
 
 
 def length_gradient_norm(net: GammaNet, metric: Surface):
@@ -247,13 +324,8 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     # with arclength-uniform resampling to keep the polylines immersed.
     while total_iters < max_iter:
         dofs = _Dofs(net)
-
-        def objective(x, dofs=dofs):
-            candidate = dofs.unpack(x)
-            L, pg = _length_and_point_grads(candidate, metric)
-            return L, dofs.scatter_point_grads(pg)
-
-        res = minimize(objective, dofs.pack(), jac=True, method="L-BFGS-B",
+        res = minimize(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
+                       jac=True, method="L-BFGS-B",
                        options={"maxiter": min(200, max_iter - total_iters),
                                 "gtol": 1e-14, "ftol": 1e-16})
         total_iters += int(res.nit)
@@ -275,13 +347,8 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     # tangential drift is negligible and L-BFGS can reach the tolerance
     if length_gradient_norm(net, metric) > tol:
         dofs = _Dofs(net)
-
-        def objective(x, dofs=dofs):
-            candidate = dofs.unpack(x)
-            L, pg = _length_and_point_grads(candidate, metric)
-            return L, dofs.scatter_point_grads(pg)
-
-        res = minimize(objective, dofs.pack(), jac=True, method="L-BFGS-B",
+        res = minimize(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
+                       jac=True, method="L-BFGS-B",
                        options={"maxiter": 500, "gtol": 1e-14, "ftol": 1e-18})
         total_iters += int(res.nit)
         message = str(res.message)
@@ -301,7 +368,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
                        lengths_history=history, message=message)
 
 
-def stationary_tracker(init: GammaNet, metric0: Surface, rcond=1e-7, h=1e-6):
+def stationary_tracker(init: GammaNet, metric0: Surface):
     """Branch-tracking continuation for perturbed metrics.
 
     Returns ``track(metric)`` which chord-Newton-iterates the length
@@ -313,25 +380,12 @@ def stationary_tracker(init: GammaNet, metric0: Surface, rcond=1e-7, h=1e-6):
     """
     dofs = _Dofs(init)
     x0 = dofs.pack()
-
-    def grad(x, metric):
-        candidate = dofs.unpack(x)
-        _, pg = _length_and_point_grads(candidate, metric)
-        return dofs.scatter_point_grads(pg)
-
-    n = x0.size
-    g0 = grad(x0, metric0)
-    H = np.empty((n, n))
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h
-        H[:, j] = (grad(x0 + ej, metric0) - g0) / h
-    P = np.linalg.pinv(0.5 * (H + H.T), rcond=rcond)
+    P = _pseudo_inverse(_length_hessian(dofs, metric0, x0))
 
     def track(metric, max_steps=40, tol=1e-11):
         x = x0.copy()
         for _ in range(max_steps):
-            step = -P @ grad(x, metric)
+            step = -P @ _length_and_dof_grad(dofs, metric, x)[1]
             x = x + step
             if np.linalg.norm(step) <= tol:
                 break
@@ -340,20 +394,18 @@ def stationary_tracker(init: GammaNet, metric0: Surface, rcond=1e-7, h=1e-6):
     return track
 
 
-def _newton_polish(net: GammaNet, metric: Surface, tol, max_steps=6, h=1e-6):
+def _newton_polish(net: GammaNet, metric: Surface, tol, max_steps=6):
     """Damped Newton iteration on the length gradient.
 
-    The Hessian (forward differences of the analytic gradient) is
-    singular along reparametrization and symmetry directions; the
+    The Hessian (coloured central differences of the analytic gradient)
+    is singular along reparametrization and symmetry directions; the
     pseudo-inverse step ignores those and corrects only the directions
     that carry gradient.
     """
     dofs = _Dofs(net)
 
     def grad(x):
-        candidate = dofs.unpack(x)
-        _, pg = _length_and_point_grads(candidate, metric)
-        return dofs.scatter_point_grads(pg)
+        return _length_and_dof_grad(dofs, metric, x)[1]
 
     x = dofs.pack()
     g = grad(x)
@@ -361,14 +413,7 @@ def _newton_polish(net: GammaNet, metric: Surface, tol, max_steps=6, h=1e-6):
         gnorm = np.linalg.norm(g)
         if gnorm <= 0.1 * tol:
             break
-        n = x.size
-        H = np.empty((n, n))
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[:, j] = (grad(x + ej) - g) / h
-        H = 0.5 * (H + H.T)
-        step = -np.linalg.pinv(H, rcond=1e-7) @ g
+        step = -_pseudo_inverse(_length_hessian(dofs, metric, x)) @ g
         scale = 1.0
         while scale > 1e-3:
             g_new = grad(x + scale * step)
@@ -387,14 +432,15 @@ def _newton_polish(net: GammaNet, metric: Surface, tol, max_steps=6, h=1e-6):
 # ---------------------------------------------------------------------------
 
 def second_variation_spectrum(net: GammaNet, metric: Surface, k=None,
-                              residual_tol=1e-6, h=1e-5):
+                              residual_tol=1e-6):
     """Eigenvalues of the discretized length Hessian.
 
     Edge interior samples move along their chart-coordinate unit normals
     (one dof each), vertices move freely (two dofs); this normal-only
     parametrization carries no reparametrization null directions, so
-    every numerical zero mode corresponds to a Jacobi field.  Flat
-    chart-coordinate inner product throughout.
+    every numerical zero mode corresponds to a Jacobi field.  The matrix
+    is N^T H N with H the full length Hessian and N that fixed linear
+    dof map.  Flat chart-coordinate inner product throughout.
     """
     resid = length_gradient_norm(net, metric)
     if resid > residual_tol:
@@ -405,46 +451,17 @@ def second_variation_spectrum(net: GammaNet, metric: Surface, k=None,
     normals = []
     for chart, pts in net.edge_paths:
         t = pts[2:] - pts[:-2]
-        n = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        normals.append(n)
+        normals.append(np.stack([-t[:, 1], t[:, 0]], axis=-1))
+    normals = np.concatenate(normals)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-    nz = 2 * dofs.nv + sum(n.shape[0] for n in normals)
-
-    def perturb(z):
-        x = dofs.pack().copy()
-        x[:2 * dofs.nv] += z[:2 * dofs.nv]
-        ofs_x = 2 * dofs.nv
-        ofs_z = 2 * dofs.nv
-        for j, n in enumerate(normals):
-            m = n.shape[0]
-            x[ofs_x:ofs_x + 2 * m] += (z[ofs_z:ofs_z + m, None] * n).ravel()
-            ofs_x += 2 * m
-            ofs_z += m
-        return x
-
-    def grad_z(z):
-        netz = dofs.unpack(perturb(z))
-        _, pg = _length_and_point_grads(netz, metric)
-        gfull = dofs.scatter_point_grads(pg)
-        g = np.empty(nz)
-        g[:2 * dofs.nv] = gfull[:2 * dofs.nv]
-        ofs_x = 2 * dofs.nv
-        ofs_z = 2 * dofs.nv
-        for n in normals:
-            m = n.shape[0]
-            g[ofs_z:ofs_z + m] = np.einsum("mi,mi->m", gfull[ofs_x:ofs_x + 2 * m].reshape(m, 2), n)
-            ofs_x += 2 * m
-            ofs_z += m
-        return g
-
-    H = np.empty((nz, nz))
-    for j in range(nz):
-        ej = np.zeros(nz)
-        ej[j] = h
-        H[:, j] = (grad_z(ej) - grad_z(-ej)) / (2 * h)
-    H = 0.5 * (H + H.T)
-    eig = np.linalg.eigvalsh(H)
+    nv2, ns = 2 * dofs.nv, normals.shape[0]
+    N = np.zeros((dofs.size, nv2 + ns))
+    N[:nv2, :nv2] = np.eye(nv2)
+    i = np.arange(ns)
+    N[nv2 + 2 * i, nv2 + i] = normals[:, 0]
+    N[nv2 + 2 * i + 1, nv2 + i] = normals[:, 1]
+    eig = np.linalg.eigvalsh(N.T @ _length_hessian(dofs, metric, dofs.pack()) @ N)
     order = np.argsort(np.abs(eig))
     eig = eig[order]
     if k is not None:
@@ -472,10 +489,6 @@ def is_nondegenerate(net: GammaNet, metric: Surface, tol):
 # ---------------------------------------------------------------------------
 # embeddedness certificate
 # ---------------------------------------------------------------------------
-
-def _param_values(m, is_loop):
-    return np.linspace(0.0, 1.0, m)
-
 
 def _circle_dist(a, b):
     d = np.abs(a - b)
@@ -514,7 +527,7 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
     for i, e in enumerate(edges):
         chart, pts = net.edge_paths[i]
         m = pts.shape[0]
-        t = _param_values(m, e.v0 == e.v1)
+        t = np.linspace(0.0, 1.0, m)
         window = min(inj / lengths[i], 0.5)
         best = np.inf
         for a in range(m):
@@ -531,8 +544,8 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
                 continue
             chart_i, pts_i = net.edge_paths[i]
             chart_j, pts_j = net.edge_paths[j]
-            ti = _param_values(pts_i.shape[0], False)
-            tj = _param_values(pts_j.shape[0], False)
+            ti = np.linspace(0.0, 1.0, pts_i.shape[0])
+            tj = np.linspace(0.0, 1.0, pts_j.shape[0])
             wi = inj / lengths[i]
             wj = inj / lengths[j]
             shared = [(ii, jj) for ii in (0, 1) for jj in (0, 1)

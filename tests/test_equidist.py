@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from geonets import (ScalarField, Sphere, WeightedNetFamily, build_partition,
-                     convex_gradient_search, discrepancy, discrepancy_transfer,
-                     merge_sequences, merged_block_ratios, min_norm_point,
-                     rationalize, rationalize_weights, ratio_series,
-                     running_ratio, torus_geodesic)
+from geonets import (ConformalFamily, ScalarField, Sphere, WeightedNetFamily,
+                     build_partition, convex_gradient_search, discrepancy,
+                     discrepancy_transfer, merge_sequences, merged_block_ratios,
+                     min_norm_point, rationalize, rationalize_weights,
+                     ratio_series, running_ratio, torus_geodesic)
 from geonets.equidist import _merge_schedule
 
 
@@ -83,6 +83,21 @@ def test_single_circle_fails_discrepancy(torus):
     family = WeightedNetFamily([torus_geodesic((1, 0))], [1.0])
     report = discrepancy(family, torus, bumps)
     assert not report.passed
+
+
+def test_volume_averages_follow_each_metric(torus):
+    # metrics built and dropped in a loop can reuse one object id; the
+    # cached volume averages must still be those of the metric passed in
+    psi = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
+    conformal = ConformalFamily(torus, [psi])
+    family = WeightedNetFamily([torus_geodesic((1, 0)), torus_geodesic((0, 1))],
+                               [0.5, 0.5])
+    bumps = build_partition(torus, 0.3)
+    for t in np.linspace(-0.4, 0.4, 40):
+        metric = conformal.at([t])
+        cached = discrepancy(family, metric, bumps, vol_n=64).values
+        fresh = discrepancy(family, metric, build_partition(metric, 0.3), vol_n=64).values
+        assert np.array_equal(cached, fresh), f"stale averages at t = {t:.3f}"
 
 
 def test_transfer_bound(torus):
@@ -222,15 +237,16 @@ def test_merge_sequences_guard():
 
 def test_merge_envelope():
     alpha = 0.4
-    for D in (0.01, 0.05, 0.2):
+    # at 200 blocks the emitted total is far beyond the float range
+    for n_blocks, D in ((20, 0.01), (20, 0.05), (20, 0.2), (200, 0.05)):
         blocks = []
-        for m in range(1, 21):
+        for m in range(1, n_blocks + 1):
             L = 1.0 + 0.07 * m
             value = (alpha + ((-1) ** m) * D / m) * L
             blocks.append(([_FakeNet(L, value)], ([1], 1), m))
         ratios = merged_block_ratios(blocks, value_fn=lambda n: n._value,
                                      length_fn=lambda n: n.length())
-        for m in range(1, 21):
+        for m in range(1, n_blocks + 1):
             assert abs(ratios[m - 1] - alpha) <= 2 * D / m
 
 

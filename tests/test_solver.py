@@ -8,7 +8,8 @@ from geonets import (ConformalFamily, ScalarField, closed_geodesic_certificate,
                      second_variation_spectrum, solve_stationary,
                      stationarity_residual, torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
-from geonets.solver import _newton_polish, length_gradient_norm
+from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _length_hessian,
+                            _newton_polish, length_gradient_norm)
 
 
 # length of the stationary theta net spanned by shifts (1,0), (0,1), (-1,-1)
@@ -74,6 +75,48 @@ def test_spectrum_flat_circle(torus):
     assert abs(eig[0]) < 1e-8 and abs(eig[1]) < 1e-8
     assert np.sort(eig)[2] > 0.1
     assert not is_nondegenerate(torus_geodesic((1, 0)), torus, 1e-6)
+
+
+def test_spectrum_diagonal_circles_are_degenerate(torus):
+    # the translation Jacobi field must read as zero: an O(h^2) truncation
+    # error of 8.8e-6 at h = 1e-5 once lifted it above the 1e-6 threshold
+    for klass, samples in (((1, 1), 64), ((2, 1), 96)):
+        net = torus_geodesic(klass, samples=samples)
+        eig = np.sort(np.abs(second_variation_spectrum(net, torus)))
+        assert eig[1] < 1e-6
+        assert not is_nondegenerate(net, torus, 1e-6)
+
+
+def _dense_length_hessian(dofs, metric, x):
+    """Reference: one central difference per column at the same step."""
+    n = x.size
+    H = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = _FD_STEP
+        H[:, j] = (_length_and_dof_grad(dofs, metric, x + e)[1]
+                   - _length_and_dof_grad(dofs, metric, x - e)[1]) / (2 * _FD_STEP)
+    return 0.5 * (H + H.T)
+
+
+def test_coloured_hessian_equals_dense(torus, sphere, dumbbell):
+    from geonets import dumbbell_circle, sphere_latitude
+    shifts = [(1, 0), (0, 1), (-1, -1)]
+    # 2 samples per edge: no interior samples, the vertices couple directly
+    cases = [(torus_theta_net(shifts, samples=s), torus) for s in (16, 3, 2)]
+    cases += [(torus_geodesic((2, 1), samples=40, mult=2), torus),
+              (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell),
+              (sphere_latitude(sphere, 1.0, samples=40), sphere)]
+    for net, metric in cases:
+        dofs = _Dofs(net)
+        x = dofs.pack()
+        diff = _dense_length_hessian(dofs, metric, x) - _length_hessian(dofs, metric, x)
+        assert np.max(np.abs(diff)) == 0.0
+    # the group count does not grow with resolution (16 and 64 samples per
+    # edge share a residue mod 3, which the greedy colouring depends on)
+    counts = [len(_Dofs(torus_theta_net(shifts, samples=s)).hessian_groups)
+              for s in (16, 64)]
+    assert counts[0] == counts[1] <= 10
 
 
 def test_spectrum_sphere_equator(sphere):
