@@ -157,6 +157,14 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface, polish=True,
 # curve shortening
 # ---------------------------------------------------------------------------
 
+def _half_sweeps(m):
+    """Index blocks, in update order, of one red-black sweep over m points."""
+    if m % 2 == 0:
+        return [np.arange(0, m, 2), np.arange(1, m, 2)]
+    blocks = [np.arange(0, m - 1, 2), np.array([m - 1]), np.arange(1, m, 2)]
+    return [b for b in blocks if b.size]
+
+
 def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-10,
                      max_sweeps=4000, collapse_floor=None) -> ShortenResult:
     """Midpoint-geodesic relaxation of the loop edges of a cycle.
@@ -193,13 +201,13 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-10,
     for sweeps in range(1, max_sweeps + 1):
         for chart, y, offset in loops:
             m = y.shape[0]
-            for parity in (0, 1):
-                idx = np.arange(parity, m, 2)
-                for i in idx:
-                    a = y[i - 1] if i > 0 else y[m - 1] - offset
-                    b = y[i + 1] if i < m - 1 else y[0] + offset
-                    mid = metric.geodesic_midpoint(chart, a, b)
-                    y[i] = (1.0 - relax) * y[i] + relax * mid
+            # red-black Gauss-Seidel: a parity class reads only the other
+            # class, except that on an odd loop the last point neighbours
+            # point 0 and so moves after the rest of its class
+            for idx in _half_sweeps(m):
+                ext = np.vstack([y[-1] - offset, y, y[0] + offset])
+                mid = metric.geodesic_midpoint(chart, ext[idx], ext[idx + 2])
+                y[idx] = (1.0 - relax) * y[idx] + relax * mid
         cur = total()
         if any(loop_length(*lp) < collapse_floor for lp in loops):
             collapsed = True

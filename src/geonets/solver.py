@@ -495,6 +495,14 @@ def _circle_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+def _least_distance(metric, chart_p, P, chart_q, Q, keep):
+    """Least distance over the pairs (P[a], Q[b]) with keep[a, b]."""
+    rows = keep.any(axis=1)
+    if not rows.any():
+        return np.inf
+    return float(np.min(metric.distances(chart_p, P[rows], chart_q, Q)[keep[rows]]))
+
+
 def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
                              cert_samples=65) -> EmbeddednessCertificate:
     """Evaluate the separation functionals and the bound conditions.
@@ -523,41 +531,32 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
                 F2[((e1, i1), (e2, i2))] = val
                 F2[((e2, i2), (e1, i1))] = val
 
+    params = [np.linspace(0.0, 1.0, pts.shape[0]) for _, pts in net.edge_paths]
+
     dE_min = {}
     for i, e in enumerate(edges):
         chart, pts = net.edge_paths[i]
-        m = pts.shape[0]
-        t = np.linspace(0.0, 1.0, m)
-        window = min(inj / lengths[i], 0.5)
-        best = np.inf
-        for a in range(m):
-            for b in range(a + 1, m):
-                sep = _circle_dist(t[a], t[b]) if e.v0 == e.v1 else abs(t[a] - t[b])
-                if sep >= window - 1e-12:
-                    best = min(best, metric.distance(chart, pts[a], chart, pts[b]))
-        dE_min[i] = float(best)
+        t = params[i]
+        sep = _circle_dist(t[:, None], t) if e.v0 == e.v1 else np.abs(t[:, None] - t)
+        keep = np.triu(sep >= min(inj / lengths[i], 0.5) - 1e-12, 1)
+        dE_min[i] = _least_distance(metric, chart, pts, chart, pts, keep)
 
     dEE_min = {}
     for i, e in enumerate(edges):
         for j, ep in enumerate(edges):
             if i == j:
                 continue
-            chart_i, pts_i = net.edge_paths[i]
-            chart_j, pts_j = net.edge_paths[j]
-            ti = np.linspace(0.0, 1.0, pts_i.shape[0])
-            tj = np.linspace(0.0, 1.0, pts_j.shape[0])
-            wi = inj / lengths[i]
-            wj = inj / lengths[j]
-            shared = [(ii, jj) for ii in (0, 1) for jj in (0, 1)
-                      if ep.endpoint(ii) == e.endpoint(jj)]
-            best = np.inf
-            for a in range(len(ti)):
-                excluded_ends = {ii for ii, jj in shared if abs(ti[a] - jj) <= wi}
-                for b in range(len(tj)):
-                    if any(abs(tj[b] - ii) < wj for ii in excluded_ends):
-                        continue
-                    best = min(best, metric.distance(chart_i, pts_i[a], chart_j, pts_j[b]))
-            dEE_min[(i, j)] = float(best)
+            (chart_i, pts_i), (chart_j, pts_j) = net.edge_paths[i], net.edge_paths[j]
+            ti, tj = params[i], params[j]
+            # a sample pair near a shared endpoint, within each edge's window
+            # from it, is excluded
+            keep = np.ones((ti.size, tj.size), dtype=bool)
+            for ii in (0, 1):
+                for jj in (0, 1):
+                    if ep.endpoint(ii) == e.endpoint(jj):
+                        keep &= ~((np.abs(ti - jj) <= inj / lengths[i])[:, None]
+                                  & (np.abs(tj - ii) < inj / lengths[j]))
+            dEE_min[(i, j)] = _least_distance(metric, chart_i, pts_i, chart_j, pts_j, keep)
 
     C3 = 0.0
     for i, _ in enumerate(edges):

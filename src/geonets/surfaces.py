@@ -15,7 +15,7 @@ residuals are free of finite-difference noise.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -139,11 +139,6 @@ class Surface:
         """Canonical representative of a point (identity by default)."""
         return np.asarray(x, dtype=float)
 
-    def same_point(self, chart_a, a, chart_b, b, tol=1e-9):
-        if chart_a == chart_b:
-            return bool(np.max(np.abs(self.wrap(chart_a, a) - self.wrap(chart_b, b))) < tol)
-        return bool(np.max(np.abs(self.transition(chart_a, chart_b, a) - np.asarray(b))) < tol)
-
     # -- quadrature --------------------------------------------------------
 
     def quadrature(self, n):
@@ -158,8 +153,32 @@ class Surface:
     # -- distances ---------------------------------------------------------
 
     def distance(self, chart_p, p, chart_q, q):
-        """Geodesic distance between two points (mesh fallback)."""
-        return self._mesh_distance(chart_p, p, chart_q, q)
+        """Geodesic distance between two points."""
+        return float(self.distances(chart_p, np.reshape(p, (1, 2)),
+                                    chart_q, np.reshape(q, (1, 2)))[0, 0])
+
+    def distances(self, chart_p, P, chart_q, Q):
+        """Geodesic distances between the rows of ``P`` and of ``Q``,
+        shape ``(len(P), len(Q))``.
+
+        Mesh fallback: every point snaps to its nearest mesh node in
+        unwrapped chart coordinates (first node on ties), one Dijkstra
+        runs per distinct node of ``P``, and a pair snapped to one node
+        is measured along the straight chart segment.
+        """
+        chart, pts, graph = self._mesh(96)
+        P = self.transition(chart_p, chart, P)
+        Q = self.transition(chart_q, chart, Q)
+        ip = np.argmin(np.sum((pts - P[:, None]) ** 2, axis=-1), axis=1)
+        iq = np.argmin(np.sum((pts - Q[:, None]) ** 2, axis=-1), axis=1)
+        sources, row = np.unique(ip, return_inverse=True)
+        out = dijkstra(graph, directed=False, indices=sources)[row[:, None], iq]
+        a, b = np.nonzero(ip[:, None] == iq)
+        if a.size:
+            d = Q[b] - P[a]
+            g = self.metric(chart, 0.5 * (P[a] + Q[b]))
+            out[a, b] = np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
+        return out
 
     def geodesic_midpoint(self, chart, p, q):
         """Midpoint of the short geodesic from p to q in one chart.
@@ -175,37 +194,27 @@ class Surface:
         corr = np.einsum("...kij,...i,...j->...k", gam, delta, delta)
         return mid - 0.125 * corr
 
-    # mesh Dijkstra fallback used by surfaces without a closed form
     def _mesh_nodes(self, n):
-        raise NotImplementedError
+        """``(chart, (N, 2) nodes, (E, 2) node-index edges)`` of an n x n
+        distance mesh, or None where the surface has none."""
+        return None
 
-    def _mesh_distance(self, chart_p, p, chart_q, q, n=96):
-        key = ("mesh", n)
-        if key not in self._mesh_cache:
-            self._mesh_cache[key] = self._build_mesh_graph(n)
-        chart, pts, graph = self._mesh_cache[key]
-        p = self.transition(chart_p, chart, p)
-        q = self.transition(chart_q, chart, q)
-        ip = int(np.argmin(np.sum((pts - p) ** 2, axis=1)))
-        iq = int(np.argmin(np.sum((pts - q) ** 2, axis=1)))
-        if ip == iq:
-            d = q - p
-            g = self.metric(chart, 0.5 * (p + q))
-            return float(np.sqrt(d @ g @ d))
-        dist = dijkstra(graph, directed=False, indices=ip)
-        return float(dist[iq])
-
-    def _build_mesh_graph(self, n):
-        chart, pts, neighbors = self._mesh_nodes(n)
-        rows, cols, vals = [], [], []
-        for i, j in neighbors:
+    def _mesh(self, n):
+        """The cached ``(chart, nodes, graph)`` of the n x n mesh, whose
+        edges are weighted by the metric length of the chart segment."""
+        if n not in self._mesh_cache:
+            nodes = self._mesh_nodes(n)
+            if nodes is None:
+                raise DomainError(f"no geodesic distance on {self.name}: "
+                                  "no closed form and no distance mesh")
+            chart, pts, edges = nodes
+            i, j = edges.T
             d = pts[j] - pts[i]
             g = self.metric(chart, 0.5 * (pts[i] + pts[j]))
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(np.sqrt(d @ g @ d)))
-        graph = coo_matrix((vals, (rows, cols)), shape=(len(pts), len(pts))).tocsr()
-        return chart, pts, graph
+            w = np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
+            graph = coo_matrix((w, (i, j)), shape=(len(pts), len(pts))).tocsr()
+            self._mesh_cache[n] = chart, pts, graph
+        return self._mesh_cache[n]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +260,12 @@ class FlatTorus(Surface):
         w = np.full(len(pts), 1.0 / (n * n))
         return [("main", pts, w)]
 
-    def distance(self, chart_p, p, chart_q, q):
-        p = self.wrap(chart_p, p)
-        q = self.wrap(chart_q, q)
+    def distances(self, chart_p, P, chart_q, Q):
+        P = self.wrap(chart_p, P)[:, None, None]
+        Q = self.wrap(chart_q, Q)[None, :, None]
         shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-        d = q + shifts - p
-        return float(np.min(np.sqrt(np.sum(d * d, axis=1))))
+        d = Q + shifts - P
+        return np.min(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +361,10 @@ class Sphere(Surface):
         denom = 1.0 + u[..., 2]
         return np.stack([u[..., 0] / denom, u[..., 1] / denom], axis=-1)
 
-    def distance(self, chart_p, p, chart_q, q):
-        up = self.embed(chart_p, p) / self.radius
-        uq = self.embed(chart_q, q) / self.radius
-        c = float(np.clip(np.dot(up, uq), -1.0, 1.0))
-        return self.radius * float(np.arccos(c))
+    def distances(self, chart_p, P, chart_q, Q):
+        up = self.embed(chart_p, P) / self.radius
+        uq = self.embed(chart_q, Q) / self.radius
+        return self.radius * np.arccos(np.clip(up @ uq.T, -1.0, 1.0))
 
     def geodesic_midpoint(self, chart, p, q):
         up = self.embed(chart, p)
@@ -474,22 +482,18 @@ class Dumbbell(Surface):
 
     def _mesh_nodes(self, n):
         m = self.u_margin
-        nu, nth = n, n
-        u = np.linspace(m, 1.0 - m, nu)
-        th = np.linspace(0.0, 2 * np.pi, nth, endpoint=False)
+        u = np.linspace(m, 1.0 - m, n)
+        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         uu, tt = np.meshgrid(u, th, indexing="ij")
         pts = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-
-        def idx(i, j):
-            return i * nth + (j % nth)
-
-        neighbors = []
-        for i in range(nu):
-            for j in range(nth):
-                for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)):
-                    if 0 <= i + di < nu:
-                        neighbors.append((idx(i, j), idx(i + di, j + dj)))
-        return "main", pts, neighbors
+        # node (i, j) links to (i + di, j + dj mod n) for each stencil offset
+        di, dj = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]).T
+        i = np.arange(n)[:, None, None] + di
+        j = (np.arange(n)[None, :, None] + dj) % n
+        src = np.broadcast_to(np.arange(n * n).reshape(n, n, 1), (n, n, di.size))
+        keep = np.broadcast_to(i < n, src.shape)
+        dst = i * n + j
+        return "main", pts, np.stack([src[keep], dst[keep]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +544,6 @@ class _ScaledSurface(Surface):
         # conformal scaling bends geodesics; fall back to the Christoffel
         # corrected midpoint of the scaled metric
         return Surface.geodesic_midpoint(self, chart, p, q)
-
-    def distance(self, chart_p, p, chart_q, q):
-        return self._mesh_distance(chart_p, p, chart_q, q)
 
     def _mesh_nodes(self, n):
         return self.base._mesh_nodes(n)

@@ -4,6 +4,7 @@ import configparser
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from geonets import (ConformalFamily, DomainError, Dumbbell, FlatTorus,
                      ScalarField, Sphere, constant_field, geodesic_distance,
@@ -135,6 +136,56 @@ def test_surface_integral_mode_vanishes(torus):
 def test_geodesic_distance_helper(torus):
     d = geodesic_distance(torus, ("main", [0.0, 0.0]), ("main", [0.3, 0.4]))
     assert d == pytest.approx(0.5, abs=1e-12)
+
+
+def test_pairwise_distances_match_references(torus, dumbbell, rng):
+    P = rng.uniform(-1.5, 2.5, size=(7, 2))
+    Q = rng.uniform(-1.5, 2.5, size=(5, 2))
+    D = torus.distances("main", P, "main", Q)
+    for a, b in np.ndindex(D.shape):
+        d = np.mod(Q[b], 1.0) - np.mod(P[a], 1.0)
+        assert D[a, b] == pytest.approx(np.hypot(*(d - np.round(d))), abs=1e-14)
+
+    sphere = Sphere(radius=2.0)
+    D = sphere.distances("north", P, "south", Q)
+    for a, b in np.ndindex(D.shape):
+        c = sphere.embed("north", P[a]) @ sphere.embed("south", Q[b]) / 4.0
+        assert D[a, b] == pytest.approx(2.0 * np.arccos(np.clip(c, -1.0, 1.0)), abs=1e-12)
+
+    # a neck circle with its closing sample theta = 2 pi, off-mesh points,
+    # and a point that snaps to the same node as a neck sample
+    P = np.stack([np.full(9, 0.5), np.linspace(0.0, 2 * np.pi, 9)], axis=-1)
+    Q = np.vstack([rng.uniform([0.02, 0.0], [0.98, 2 * np.pi], size=(4, 2)),
+                   P[[0, 5, 8]], P[3] + [-1e-3, 1e-3]])
+    D = dumbbell.distances("main", P, "main", Q)
+    chart, pts, graph = dumbbell._mesh(96)
+    for a, b in np.ndindex(D.shape):
+        ip, iq = (int(np.argmin(np.sum((pts - x) ** 2, axis=1))) for x in (P[a], Q[b]))
+        if ip == iq:
+            d = Q[b] - P[a]
+            ref = np.sqrt(d @ dumbbell.metric(chart, 0.5 * (P[a] + Q[b])) @ d)
+        else:
+            ref = dijkstra(graph, directed=False, indices=ip)[iq]
+        assert D[a, b] == ref
+    assert dumbbell.distance("main", P[6], "main", P[8]) == D[6, 6]
+
+
+def test_dumbbell_mesh_matches_stencil_loop(dumbbell, rng):
+    stencil = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+    n = 12
+    _, _, edges = dumbbell._mesh_nodes(n)
+    ref = [(i * n + j, (i + di) * n + (j + dj) % n)
+           for i in range(n) for j in range(n) for di, dj in stencil if i + di < n]
+    assert sorted(map(tuple, edges.tolist())) == sorted(ref)
+
+    surf = DumbbellWidthFamily(dumbbell).at(0.2)
+    chart, pts, graph = surf._mesh(96)
+    _, _, edges = surf._mesh_nodes(96)
+    seam = edges[np.abs(pts[edges[:, 0], 1] - pts[edges[:, 1], 1]) > np.pi]
+    for i, j in np.vstack([edges[rng.choice(len(edges), 300)], seam[:20]]):
+        d = pts[j] - pts[i]
+        g = surf.metric(chart, 0.5 * (pts[i] + pts[j]))
+        assert graph[i, j] == pytest.approx(np.sqrt(d @ g @ d), rel=1e-14)
 
 
 def test_load_surface_from_config():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geonets import (ConformalFamily, Edge, GammaNet, WeightedMultigraph,
+from geonets import (ConformalFamily, Edge, GammaNet, ScalarField, WeightedMultigraph,
                      birkhoff_shorten, build_sweepout, constant_field,
                      dumbbell_realizer, dumbbell_width, minmax_upper_bound,
                      sphere_latitude, torus_geodesic, weyl_ratio_probe)
@@ -37,6 +37,45 @@ def test_birkhoff_near_equator_converges_to_great_circle(sphere):
     res = birkhoff_shorten(start, sphere)
     assert not res.collapsed
     assert res.length == pytest.approx(2 * np.pi, abs=1e-4)
+
+
+def _reference_birkhoff(loop, metric, relax=0.5, tol=1e-10, max_sweeps=4000):
+    """Point-by-point Gauss-Seidel shortening of one loop: (path, sweeps)."""
+    chart, pts = loop.edge_paths[0]
+    y, offset, m = pts[:-1].copy(), pts[-1] - pts[0], len(pts) - 1
+
+    def length():
+        closed = np.vstack([y, y[0] + offset])
+        d, g = np.diff(closed, axis=0), metric.metric(chart, 0.5 * (closed[:-1] + closed[1:]))
+        return float(np.sum(np.sqrt(np.einsum("si,sij,sj->s", d, g, d))))
+
+    prev = length()
+    for sweeps in range(1, max_sweeps + 1):
+        for i in [*range(0, m, 2), *range(1, m, 2)]:
+            a = y[i - 1] if i > 0 else y[m - 1] - offset
+            b = y[i + 1] if i < m - 1 else y[0] + offset
+            y[i] = (1.0 - relax) * y[i] + relax * metric.geodesic_midpoint(chart, a, b)
+        cur = length()
+        if cur < 1e-3 * metric.injectivity_lower_bound or prev - cur < tol:
+            break
+        prev = cur
+    return np.vstack([y, y[0] + offset]), sweeps
+
+
+@pytest.mark.parametrize("points", [17, 18])
+@pytest.mark.parametrize("kind", ["torus", "sphere", "conformal-torus"])
+def test_birkhoff_matches_sequential_sweeps(kind, points, torus, sphere):
+    if kind == "sphere":
+        metric, loop = sphere, sphere_latitude(sphere, np.pi / 2 - 0.3, samples=points + 1)
+    else:
+        metric, loop = torus, _wiggly_circle(samples=points + 1)
+    if kind == "conformal-torus":
+        bump = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
+        metric = ConformalFamily(torus, [bump]).at([0.3])
+    ref_path, ref_sweeps = _reference_birkhoff(loop, metric)
+    res = birkhoff_shorten(loop, metric)
+    assert res.sweeps == ref_sweeps
+    assert np.max(np.abs(res.net.edge_paths[0][1] - ref_path)) <= 1e-13
 
 
 def test_torus_width_recipes(torus):

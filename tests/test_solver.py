@@ -1,11 +1,13 @@
 """Stationarity solver, second variation and certificates."""
 
+import re
+
 import numpy as np
 import pytest
 
-from geonets import (ConformalFamily, ScalarField, closed_geodesic_certificate,
-                     embeddedness_certificate, is_nondegenerate,
-                     second_variation_spectrum, solve_stationary,
+from geonets import (ConformalFamily, DomainError, ScalarField, closed_geodesic_certificate,
+                     dumbbell_circle, embeddedness_certificate, is_nondegenerate,
+                     second_variation_spectrum, solve_stationary, sphere_latitude,
                      stationarity_residual, torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
 from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _length_hessian,
@@ -188,6 +190,56 @@ def test_certificate_flags_self_overlap(torus):
     res = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)]), torus)
     cert = embeddedness_certificate(res.net, torus, M_bound=12)
     assert not (cert.satisfied[5] and cert.satisfied[6])
+
+
+def _reference_separations(cert_net, metric):
+    """dE_min and dEE_min by one distance call per sample pair."""
+    inj, edges = metric.injectivity_lower_bound, cert_net.graph.edges
+    lengths = [cert_net.edge_length(i, metric) for i in range(len(edges))]
+    t = [np.linspace(0.0, 1.0, pts.shape[0]) for _, pts in cert_net.edge_paths]
+    dE, dEE = {}, {}
+    for i, e in enumerate(edges):
+        chart, pts = cert_net.edge_paths[i]
+        dE[i] = np.inf
+        for a, b in zip(*np.triu_indices(len(pts), 1)):
+            sep = abs(t[i][a] - t[i][b])
+            sep = min(sep, 1.0 - sep) if e.v0 == e.v1 else sep
+            if sep >= min(inj / lengths[i], 0.5) - 1e-12:
+                dE[i] = min(dE[i], metric.distance(chart, pts[a], chart, pts[b]))
+        for j, ep in enumerate(edges):
+            if j == i:
+                continue
+            chart_j, pts_j = cert_net.edge_paths[j]
+            shared = [(ii, jj) for ii in (0, 1) for jj in (0, 1) if ep.endpoint(ii) == e.endpoint(jj)]
+            dEE[(i, j)] = np.inf
+            for a, b in np.ndindex(len(pts), len(pts_j)):
+                if not any(abs(t[i][a] - jj) <= inj / lengths[i] and abs(t[j][b] - ii) < inj / lengths[j]
+                           for ii, jj in shared):
+                    dEE[(i, j)] = min(dEE[(i, j)], metric.distance(chart, pts[a], chart_j, pts_j[b]))
+    return dE, dEE
+
+
+def test_certificate_separations_match_pairwise_loop(torus, dumbbell):
+    # one reversed edge, so shared endpoints pair a start with an end
+    theta = solve_stationary(torus_theta_net([(1, 0), (0, 1), (0, 0)]), torus).net.reversed_edge(1)
+    for net, metric, samples in ((theta, torus, 17), (dumbbell_circle(dumbbell, 0.5), dumbbell, 9)):
+        cert = embeddedness_certificate(net, metric, M_bound=12, cert_samples=samples)
+        dE, dEE = _reference_separations(net.resample(metric, samples), metric)
+        assert cert.dE_min == dE
+        assert cert.dEE_min == dEE
+
+
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+def test_distance_without_closed_form_or_mesh_is_domain_error(kind, torus, sphere):
+    base, net = ((torus, torus_geodesic((1, 0))) if kind == "torus"
+                 else (sphere, sphere_latitude(sphere, 1.0)))
+    bump = ScalarField(lambda c, x: np.cos(np.asarray(x)[..., 0]))
+    metric = ConformalFamily(base, [bump]).at([0.2])
+    chart, pts = net.edge_paths[0]
+    with pytest.raises(DomainError, match=re.escape(metric.name)):
+        metric.distance(chart, pts[0], chart, pts[3])
+    with pytest.raises(DomainError):
+        embeddedness_certificate(net, metric, M_bound=12, cert_samples=9)
 
 
 def test_closed_geodesic_certificate_circle(torus):
