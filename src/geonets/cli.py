@@ -295,8 +295,6 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="parallelism hint (recorded in outputs)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import (Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
-                       surface_average)
+from .surfaces import (Dumbbell, FlatTorus, ScalarField, Sphere, Surface, _det2,
+                       _root_surface, surface_average)
 
 
 # ---------------------------------------------------------------------------
@@ -67,44 +67,76 @@ def _bump_1d(x, lo, hi, collar):
 
 @dataclass
 class BumpSystem:
+    """Plateau bumps phi_k on K cells and the partition of unity
+    psi_k = phi_k / sum_l phi_l.
+
+    A recipe subclass evaluates all K bumps in one broadcast
+    (:meth:`phi_values`, shape ``(K, ...)``); the per-bump fields
+    ``phi[k]`` and ``psi[k]`` read row k of it.
+    """
+
     K: int
     eps1: float
     regions: list                 # per-bump descriptors incl. center (chart, point)
-    phi: list                     # plateau fields, 1 on the cell, 0 off the collar
-    psi: list                     # normalized fields phi_k / sum_l phi_l
     surface: Surface
+    labels: InitVar[list]         # cell label of every bump, for the field names
+    phi: list = field(init=False, repr=False, compare=False)
+    psi: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, labels):
+        self.phi = [ScalarField(lambda c, x, k=k: self.phi_values(c, x)[k],
+                                grad_fn=lambda c, x, k=k: self._phi_grads(c, x)[k],
+                                name=f"phi[{label}]") for k, label in enumerate(labels)]
+        self.psi = [ScalarField(lambda c, x, k=k: self.psi_values(c, x)[k],
+                                grad_fn=lambda c, x, k=k: self._psi_grads(c, x)[k],
+                                name=f"psi[{k}]") for k in range(self.K)]
 
     def phi_values(self, chart, x):
-        return np.stack([p.value(chart, x) for p in self.phi])
+        raise NotImplementedError
+
+    def _phi_grads(self, chart, x):
+        """Every grad phi_k, ``(K, ..., 2)``, by central differences."""
+        return ScalarField(self.phi_values).grad(chart, x)
 
     def psi_values(self, chart, x):
         vals = self.phi_values(chart, x)
         return vals / np.sum(vals, axis=0)
 
-    def centers(self):
-        return [r["center"] for r in self.regions]
-
-
-class _NormalizedBump(ScalarField):
-    """psi_k = phi_k / sum_l phi_l with the quotient-rule gradient."""
-
-    def __init__(self, phis, k, name=""):
-        self._phis = phis
-        self._k = k
-        self.name = name
-        self._grad_fn = None
-
-    def value(self, chart, x):
-        vals = np.stack([p.value(chart, x) for p in self._phis])
-        return vals[self._k] / np.sum(vals, axis=0)
-
-    def grad(self, chart, x, h=1e-6):
-        vals = np.stack([p.value(chart, x) for p in self._phis])
-        grads = np.stack([p.grad(chart, x) for p in self._phis])
+    def _psi_grads(self, chart, x):
+        vals = self.phi_values(chart, x)
+        grads = self._phi_grads(chart, x)
         total = np.sum(vals, axis=0)
         total_grad = np.sum(grads, axis=0)
-        k = self._k
-        return (grads[k] * total[..., None] - vals[k][..., None] * total_grad) / (total ** 2)[..., None]
+        return (grads * total[..., None] - vals[..., None] * total_grad) / (total ** 2)[..., None]
+
+
+def _outer(a, b):
+    """Rows a_i * b_j of two ``(n, ...)`` stacks, in the order i * n + j."""
+    return (a[:, None] * b[None]).reshape((-1,) + a.shape[1:])
+
+
+@dataclass
+class _TorusBumps(BumpSystem):
+    """n x n square cells: phi_{i n + j}(x) = b_i(x_0) b_j(x_1) with the
+    periodic 1-D plateau bump b_i of cell row i."""
+
+    n: int
+    collar: float
+
+    def _axes(self, x, profile):
+        x = np.asarray(x, dtype=float)
+        cell = 1.0 / self.n
+        lo = (np.arange(self.n) * cell).reshape((self.n,) + (1,) * (x.ndim - 1))
+        return [profile(x[..., a], lo, cell, self.collar) for a in range(2)]
+
+    def phi_values(self, chart, x):
+        bx, by = self._axes(x, _bump_1d_periodic)
+        return _outer(bx, by)
+
+    def _phi_grads(self, chart, x):
+        bx, by = self._axes(x, _bump_1d_periodic)
+        dbx, dby = self._axes(x, _bump_1d_periodic_deriv)
+        return np.stack([_outer(dbx, by), _outer(bx, dby)], axis=-1)
 
 
 def _torus_partition(surface, eps1, K_min, collar_frac=0.2, n_max=64):
@@ -114,33 +146,17 @@ def _torus_partition(surface, eps1, K_min, collar_frac=0.2, n_max=64):
                          f"resolution budget {n_max}x{n_max}")
     cell = 1.0 / n
     collar = collar_frac * cell
-    phi, regions = [], []
+    regions, labels = [], []
     for i in range(n):
         for j in range(n):
             lo = (i * cell, j * cell)
-
-            def fn(chart, x, lo=lo):
-                x = np.asarray(x, dtype=float)
-                return (_bump_1d_periodic(x[..., 0], lo[0], cell, collar)
-                        * _bump_1d_periodic(x[..., 1], lo[1], cell, collar))
-
-            def gfn(chart, x, lo=lo):
-                x = np.asarray(x, dtype=float)
-                bx = _bump_1d_periodic(x[..., 0], lo[0], cell, collar)
-                by = _bump_1d_periodic(x[..., 1], lo[1], cell, collar)
-                dbx = _bump_1d_periodic_deriv(x[..., 0], lo[0], cell, collar)
-                dby = _bump_1d_periodic_deriv(x[..., 1], lo[1], cell, collar)
-                return np.stack([dbx * by, bx * dby], axis=-1)
-
-            phi.append(ScalarField(fn, grad_fn=gfn, name=f"phi[{i},{j}]"))
+            labels.append(f"{i},{j}")
             regions.append({"kind": "torus-cell", "i": i, "j": j, "cell": cell,
                             "collar": collar,
                             "center": ("main", np.array([lo[0] + cell / 2,
                                                          lo[1] + cell / 2]))})
-    K = n * n
-    psi = [_NormalizedBump(phi, k, name=f"psi[{k}]") for k in range(K)]
-    return BumpSystem(K=K, eps1=eps1, regions=regions, phi=phi, psi=psi,
-                      surface=surface)
+    return _TorusBumps(K=n * n, eps1=eps1, regions=regions, surface=surface,
+                       labels=labels, n=n, collar=collar)
 
 
 def _sphere_angles(sphere, chart, x):
@@ -152,54 +168,64 @@ def _sphere_angles(sphere, chart, x):
     return theta, lam
 
 
+@dataclass
+class _SphereBumps(BumpSystem):
+    """Colatitude bands cut into longitude sectors: phi_k is the band bump
+    of its band times the periodic sector bump.  A polar cap is one
+    sector spanning the full period, whose bump is identically 1."""
+
+    sphere: Sphere
+    collar_th: float
+    bands: np.ndarray             # (bands, 2) colatitude bounds
+    band: np.ndarray              # (K,) band of every cell
+    sectors: np.ndarray           # (K, 3) longitude start, width and collar
+
+    def phi_values(self, chart, x):
+        theta, lam = _sphere_angles(self.sphere, chart, x)
+        pad = (-1,) + (1,) * theta.ndim
+        th_lo, th_hi = (self.bands[:, c].reshape(pad) for c in range(2))
+        lam_lo, dlam, collar = (self.sectors[:, c].reshape(pad) for c in range(3))
+        return (_bump_1d(theta, th_lo, th_hi, self.collar_th)[self.band]
+                * _bump_1d_periodic(lam, lam_lo, dlam, collar, period=2 * math.pi))
+
+
 def _sphere_partition(surface, eps1, K_min, collar_frac=0.2):
-    sphere = surface
-    while not isinstance(sphere, Sphere):
-        sphere = sphere.base
+    sphere = _root_surface(surface)
     R = sphere.radius
     n_theta = max(3, math.ceil(math.sqrt(2.0) * math.pi * R / eps1))
     dth = math.pi / n_theta
-    collar_th = collar_frac * dth
-    phi, regions = [], []
+    bands, band, sectors, regions, labels = [], [], [], [], []
     for i in range(n_theta):
         th_lo, th_hi = i * dth, (i + 1) * dth
+        bands.append((th_lo, th_hi))
         polar = i == 0 or i == n_theta - 1
         th_mid = 0.5 * (th_lo + th_hi)
         if polar:
-            sectors = 1                      # merged polar cap
+            n_sec = 1                        # merged polar cap
         else:
-            sectors = max(1, math.ceil(math.sqrt(2.0) * 2 * math.pi * R
-                                       * math.sin(th_mid) / eps1))
-        dlam = 2 * math.pi / sectors
-        collar_lam = collar_frac * dlam
-        for j in range(sectors):
+            n_sec = max(1, math.ceil(math.sqrt(2.0) * 2 * math.pi * R
+                                     * math.sin(th_mid) / eps1))
+        dlam = 2 * math.pi / n_sec
+        for j in range(n_sec):
             lam_lo = j * dlam
-
-            def fn(chart, x, th_lo=th_lo, th_hi=th_hi, lam_lo=lam_lo,
-                   sectors=sectors, dlam=dlam, collar_lam=collar_lam):
-                theta, lam = _sphere_angles(sphere, chart, x)
-                b = _bump_1d(theta, th_lo, th_hi, collar_th)
-                if sectors > 1:
-                    b = b * _bump_1d_periodic(lam, lam_lo, dlam, collar_lam,
-                                              period=2 * math.pi)
-                return b
-
+            band.append(i)
+            sectors.append((lam_lo, dlam, collar_frac * dlam))
             lam_mid = lam_lo + dlam / 2
             center3 = R * np.array([math.sin(th_mid) * math.cos(lam_mid),
                                     math.sin(th_mid) * math.sin(lam_mid),
                                     math.cos(th_mid)])
             cchart = "north" if center3[2] >= 0 else "south"
             center = (cchart, sphere.unembed(cchart, center3))
-            phi.append(ScalarField(fn, name=f"phi[{i},{j}]"))
+            labels.append(f"{i},{j}")
             regions.append({"kind": "sphere-cell", "band": i, "sector": j,
-                            "theta": (th_lo, th_hi), "sectors": sectors,
+                            "theta": (th_lo, th_hi), "sectors": n_sec,
                             "center": center})
-    K = len(phi)
+    K = len(regions)
     if K < K_min:
         raise ValueError(f"sphere partition at eps1 = {eps1} yields K = {K} < {K_min}")
-    psi = [_NormalizedBump(phi, k, name=f"psi[{k}]") for k in range(K)]
-    return BumpSystem(K=K, eps1=eps1, regions=regions, phi=phi, psi=psi,
-                      surface=surface)
+    return _SphereBumps(K=K, eps1=eps1, regions=regions, surface=surface, labels=labels,
+                        sphere=sphere, collar_th=collar_frac * dth, bands=np.array(bands),
+                        band=np.array(band), sectors=np.array(sectors))
 
 
 def build_partition(metric: Surface, eps1, K_min=1) -> BumpSystem:
@@ -207,9 +233,7 @@ def build_partition(metric: Surface, eps1, K_min=1) -> BumpSystem:
     geodesic ball of radius eps1 around the recorded center."""
     if eps1 >= metric.injectivity_lower_bound:
         raise ValueError("eps1 must be below the injectivity lower bound")
-    root = metric
-    while hasattr(root, "base"):
-        root = root.base
+    root = _root_surface(metric)
     if isinstance(root, FlatTorus):
         return _torus_partition(metric, eps1, K_min)
     if isinstance(root, Sphere):
@@ -277,8 +301,13 @@ def _net_psi_averages(net: GammaNet, metric: Surface, bumps: BumpSystem):
     return num / total
 
 
+#: quadrature points per psi evaluation, which bounds the (K, points) block
+_PSI_BLOCK = 8192
+
+
 def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
-    """Volume average of every psi_k with one pass over the quadrature grid.
+    """Volume average of every psi_k with one pass over the quadrature grid,
+    taken in blocks of :data:`_PSI_BLOCK` points.
 
     Cached on the bump system per metric object (held weakly, so a freed
     metric's entry goes with it) and grid size.
@@ -291,8 +320,10 @@ def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
         sums = np.zeros(bumps.K)
         total = 0.0
         for chart, pts, w in metric.quadrature(n):
-            dens = w * np.sqrt(np.linalg.det(metric.metric(chart, pts)))
-            sums += bumps.psi_values(chart, pts) @ dens
+            dens = w * np.sqrt(_det2(metric.metric(chart, pts)))
+            for start in range(0, len(pts), _PSI_BLOCK):
+                block = slice(start, start + _PSI_BLOCK)
+                sums += bumps.psi_values(chart, pts[block]) @ dens[block]
             total += float(np.sum(dens))
         per_metric[n] = sums / total
     return per_metric[n]

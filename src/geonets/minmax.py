@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .nets import Edge, GammaNet, WeightedMultigraph, dumbbell_circle, sphere_latitude
-from .surfaces import Dumbbell, FlatTorus, Sphere, Surface, volume
+from .surfaces import Dumbbell, FlatTorus, Sphere, Surface, _root_surface, volume
 
 
 @dataclass
@@ -24,9 +24,6 @@ class Sweepout:
     grid: np.ndarray
     cycle_fn: object            # parameter -> GammaNet, or None for a degenerate slice
     provenance: str = ""
-
-    def cycles(self):
-        return [self.cycle_fn(c) for c in self.grid]
 
 
 @dataclass
@@ -45,13 +42,6 @@ class ShortenResult:
     length: float
     collapsed: bool
     sweeps: int
-
-
-def _root_surface(surface: Surface):
-    s = surface
-    while hasattr(s, "base"):
-        s = s.base
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,6 @@ def dumbbell_realizer(t):
 @dataclass
 class WeylTable:
     rows: list = field(default_factory=list)       # dicts: p, t, upper_bound, shortened_length, h_p
-    lipschitz: dict = field(default_factory=dict)  # p -> max difference quotient of p^{-1/2} w(t)
 
     def column(self, p, key):
         return [r[key] for r in self.rows if r["p"] == p]
@@ -260,14 +249,9 @@ class WeylTable:
 
 def weyl_ratio_probe(family, p_list, t_grid, recipe="x-levels", vol_n=256,
                      shorten=False) -> WeylTable:
-    """h_p(t) = p^{-1/2} x (width upper bound) / Vol^{1/2} over a t-grid.
-
-    Also reports, per p, the maximal difference quotient of the
-    normalized bound t -> p^{-1/2} w_p(t) over the grid.
-    """
+    """h_p(t) = p^{-1/2} x (width upper bound) / Vol^{1/2} over a t-grid."""
     table = WeylTable()
     for p in p_list:
-        normalized = []
         for t in t_grid:
             metric = family.at(t)
             sw = build_sweepout(metric, p, recipe)
@@ -278,11 +262,4 @@ def weyl_ratio_probe(family, p_list, t_grid, recipe="x-levels", vol_n=256,
                                "upper_bound": est.upper_bound,
                                "shortened_length": est.shortened_length,
                                "h_p": h_p})
-            normalized.append(est.upper_bound / math.sqrt(p))
-        quot = 0.0
-        for a in range(1, len(t_grid)):
-            dt = float(t_grid[a]) - float(t_grid[a - 1])
-            if dt != 0.0:
-                quot = max(quot, abs(normalized[a] - normalized[a - 1]) / abs(dt))
-        table.lipschitz[p] = quot
     return table

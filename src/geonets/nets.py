@@ -171,25 +171,6 @@ class GammaNet:
             raise DegenerateNetError("average integral undefined on a zero-length net")
         return self.integrate(h, metric) / L
 
-    def trace_along(self, tensor, metric: Surface):
-        """Trace T(f'/|f'|, f'/|f'|) at the samples of every edge.
-
-        ``tensor`` maps ``(chart, pts)`` to ``(..., 2, 2)`` arrays.
-        Returns a list of per-edge value arrays.
-        """
-        out = []
-        for i, _ in enumerate(self.graph.edges):
-            chart, pts = self.edge_paths[i]
-            v = _sample_tangents(pts)
-            if np.any(np.sum(v * v, axis=-1) == 0.0):
-                raise DegenerateNetError("zero tangent while tracing a tensor")
-            T = np.asarray(tensor(chart, pts))
-            g = metric.metric(chart, pts)
-            num = np.einsum("si,sij,sj->s", v, T, v)
-            den = np.einsum("si,sij,sj->s", v, g, v)
-            out.append(num / den)
-        return out
-
     def segment_trace_integral(self, tensor, metric: Surface):
         """Weighted integral of trace_T along the net with the segment
         midpoint rule.
@@ -259,15 +240,6 @@ class GammaNet:
         vp = {v: (c, np.array(x)) for v, (c, x) in doc["vertex_points"].items()}
         ep = [(c, np.array(p)) for c, p in doc["edge_paths"]]
         return cls(graph, vp, ep)
-
-
-def _sample_tangents(pts):
-    """Central-difference tangents at polyline samples (one-sided at ends)."""
-    v = np.empty_like(pts)
-    v[1:-1] = pts[2:] - pts[:-2]
-    v[0] = pts[1] - pts[0]
-    v[-1] = pts[-1] - pts[-2]
-    return v
 
 
 # ---------------------------------------------------------------------------

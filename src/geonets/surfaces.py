@@ -50,12 +50,12 @@ class ScalarField:
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(chart, np.asarray(x, dtype=float)))
         x = np.asarray(x, dtype=float)
-        g = np.empty(x.shape)
+        cols = []
         for k in range(2):
             dx = np.zeros(2)
             dx[k] = h
-            g[..., k] = (self.value(chart, x + dx) - self.value(chart, x - dx)) / (2 * h)
-        return g
+            cols.append((self.value(chart, x + dx) - self.value(chart, x - dx)) / (2 * h))
+        return np.stack(cols, axis=-1)
 
 
 def constant_field(c):
@@ -88,7 +88,6 @@ class Surface:
     """Base class: a 2-surface given by charts with SPD tensor evaluators."""
 
     name = "surface"
-    smoothness = 6
 
     def __init__(self):
         self.charts: dict[str, Chart] = {}
@@ -111,7 +110,8 @@ class Surface:
         indexed ``[..., k, i, j]`` for Gamma^k_ij."""
         g = self.metric(chart, x)
         dg = self.metric_deriv(chart, x)
-        ginv = np.linalg.inv(g)
+        ginv = np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]],
+                        axis=-1).reshape(g.shape) / _det2(g)[..., None, None]
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
         # dg carries [..., a, i, j] = d_a g_ij
         d_i_gjl = dg                                  # [..., i, j, l]
@@ -325,19 +325,6 @@ class Sphere(Surface):
         out[..., 1] = -x[..., 1]
         return out / r2
 
-    def transition_jacobian(self, src, dst, x):
-        x = np.asarray(x, dtype=float)
-        if src == dst:
-            return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
-        a, b = x[..., 0], x[..., 1]
-        r2 = a * a + b * b
-        J = np.empty(x.shape[:-1] + (2, 2))
-        J[..., 0, 0] = (r2 - 2 * a * a) / r2**2
-        J[..., 0, 1] = -2 * a * b / r2**2
-        J[..., 1, 0] = 2 * a * b / r2**2
-        J[..., 1, 1] = -(r2 - 2 * b * b) / r2**2
-        return J
-
     # embedding helpers ----------------------------------------------------
 
     def embed(self, chart, x):
@@ -549,6 +536,13 @@ class _ScaledSurface(Surface):
         return self.base._mesh_nodes(n)
 
 
+def _root_surface(surface: Surface) -> Surface:
+    """The model surface under any chain of derived (scaled) surfaces."""
+    while hasattr(surface, "base"):
+        surface = surface.base
+    return surface
+
+
 class ConformalFamily:
     """K-parameter conformal family ``ghat(t) = e^{2 sum_k t_k psi_k} g``."""
 
@@ -587,10 +581,6 @@ class ConformalFamily:
             return acc
 
         return _ScaledSurface(self.base, phi, dphi, name=f"{self.base.name}@t={t.tolist()}")
-
-    def eval_conformal(self, t, chart, x):
-        """Tensor of ghat(t) at a chart point without building a Surface."""
-        return self.at(t).eval_metric(chart, x)
 
     def deriv_tensor(self, t, k):
         """The symmetric 2-tensor d ghat / d t_k = 2 psi_k ghat(t)."""
@@ -666,15 +656,30 @@ class DumbbellWidthFamily:
 # volume and field integrals
 # ---------------------------------------------------------------------------
 
-def _volume_raw(surface: Surface, n, fld: ScalarField | None = None):
-    total = 0.0
+def _det2(g):
+    """Determinants of a stack of 2x2 matrices ``(..., 2, 2)``, in closed form."""
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+
+def _area_integrals(surface: Surface, n, fld: ScalarField | None):
+    """``[area, integral of fld]`` on the n-grid, one metric evaluation per
+    chart; the integral reads 0 without a field."""
+    area = integral = 0.0
     for chart, pts, w in surface.quadrature(n):
-        g = surface.metric(chart, pts)
-        dens = np.sqrt(np.linalg.det(g))
+        dens = np.sqrt(_det2(surface.metric(chart, pts)))
+        area += float(np.sum(w * dens))
         if fld is not None:
-            dens = dens * fld.value(chart, pts)
-        total += float(np.sum(w * dens))
-    return total
+            integral += float(np.sum(w * (dens * fld.value(chart, pts))))
+    return np.array([area, integral])
+
+
+def _richardson(surface: Surface, n, fld=None, richardson=True):
+    """:func:`_area_integrals` with the h^2 error term cancelled by a
+    second grid of twice the resolution."""
+    v1 = _area_integrals(surface, n, fld)
+    if not richardson:
+        return v1
+    return (4.0 * _area_integrals(surface, 2 * n, fld) - v1) / 3.0
 
 
 def volume(surface: Surface, n=256, richardson=True):
@@ -684,24 +689,17 @@ def volume(surface: Surface, n=256, richardson=True):
     second evaluation at twice the resolution; deterministic for a fixed
     ``n``.
     """
-    v1 = _volume_raw(surface, n)
-    if not richardson:
-        return v1
-    v2 = _volume_raw(surface, 2 * n)
-    return (4.0 * v2 - v1) / 3.0
+    return float(_richardson(surface, n, richardson=richardson)[0])
 
 
 def surface_integral(surface: Surface, fld: ScalarField, n=256, richardson=True):
     """Integral of a scalar field over the surface (same rule as volume)."""
-    v1 = _volume_raw(surface, n, fld)
-    if not richardson:
-        return v1
-    v2 = _volume_raw(surface, 2 * n, fld)
-    return (4.0 * v2 - v1) / 3.0
+    return float(_richardson(surface, n, fld, richardson)[1])
 
 
 def surface_average(surface: Surface, fld: ScalarField, n=256):
-    return surface_integral(surface, fld, n) / volume(surface, n)
+    area, integral = _richardson(surface, n, fld)
+    return float(integral / area)
 
 
 def geodesic_distance(surface: Surface, p, q):

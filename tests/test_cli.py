@@ -71,3 +71,9 @@ def test_equidistribute_small(tmp_path):
     lines = (tmp_path / "running_ratio.csv").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 60
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2

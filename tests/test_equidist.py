@@ -1,14 +1,19 @@
 """Partitions of unity, discrepancy, convex search and sequence merging."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geonets import (ConformalFamily, ScalarField, Sphere, WeightedNetFamily,
+from geonets import (ConformalFamily, FlatTorus, ScalarField, Sphere, WeightedNetFamily,
                      build_partition, convex_gradient_search, discrepancy,
                      discrepancy_transfer, merge_sequences, merged_block_ratios,
                      min_norm_point, rationalize, rationalize_weights,
                      ratio_series, running_ratio, torus_geodesic)
-from geonets.equidist import _merge_schedule
+from geonets.equidist import (_PSI_BLOCK, _bump_1d, _bump_1d_periodic, _merge_schedule,
+                               _sphere_angles, _volume_psi_averages)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +55,73 @@ def test_sphere_partition_normalizes():
     pts = rng.uniform(-0.9, 0.9, size=(500, 2))
     total = np.sum(bumps.psi_values("north", pts), axis=0)
     assert np.max(np.abs(total - 1.0)) <= 1e-10
+
+
+def _reference_phi(bumps, chart, x):
+    """Every plateau bump evaluated cell by cell from its region."""
+    rows = []
+    for r in bumps.regions:
+        if r["kind"] == "torus-cell":
+            cell, collar = r["cell"], r["collar"]
+            rows.append(_bump_1d_periodic(x[..., 0], r["i"] * cell, cell, collar)
+                        * _bump_1d_periodic(x[..., 1], r["j"] * cell, cell, collar))
+            continue
+        theta, lam = _sphere_angles(bumps.surface, chart, x)
+        n_theta = 1 + max(q["band"] for q in bumps.regions)
+        b = _bump_1d(theta, *r["theta"], 0.2 * (math.pi / n_theta))
+        if r["sectors"] > 1:
+            dlam = 2 * math.pi / r["sectors"]
+            b = b * _bump_1d_periodic(lam, r["sector"] * dlam, dlam, 0.2 * dlam,
+                                      period=2 * math.pi)
+        rows.append(b)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("eps1", [0.3, 0.22, 0.15])
+def test_torus_phi_values_match_cell_loop(torus, rng, eps1):
+    bumps = build_partition(torus, eps1)
+    pts = rng.uniform(-1.5, 2.5, size=(7, 60, 2))       # unwrapped, batched
+    assert np.array_equal(bumps.phi_values("main", pts), _reference_phi(bumps, "main", pts))
+
+
+@pytest.mark.parametrize("eps1", [0.9, 0.5])
+def test_sphere_phi_values_match_cell_loop(sphere, rng, eps1):
+    bumps = build_partition(sphere, eps1)
+    pts = rng.uniform(-2.0, 2.0, size=(400, 2))
+    for chart in ("north", "south"):
+        assert np.array_equal(bumps.phi_values(chart, pts),
+                              _reference_phi(bumps, chart, pts))
+
+
+def test_blocked_volume_averages_match_one_shot(torus, sphere):
+    conformal = ConformalFamily(torus, [ScalarField(
+        lambda c, x: np.sin(2 * np.pi * np.asarray(x)[..., 1]))]).at([0.2])
+    for metric, eps1, n in [(conformal, 0.3, 100), (sphere, 0.9, 70)]:
+        bumps = build_partition(metric, eps1)
+        sums, total = 0.0, 0.0
+        for chart, pts, w in metric.quadrature(n):
+            assert len(pts) > _PSI_BLOCK and len(pts) % _PSI_BLOCK
+            dens = w * np.sqrt(np.linalg.det(metric.metric(chart, pts)))
+            sums = sums + bumps.psi_values(chart, pts) @ dens
+            total += float(np.sum(dens))
+        got = _volume_psi_averages(bumps, metric, n)
+        assert np.allclose(got, sums / total, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind, eps_lo, eps_hi, tol", [
+    ("torus", 0.03, 0.49, 1e-12),        # below the bound 0.5, within the 64 x 64 budget
+    ("sphere", 0.2, 3.1, 1e-10)])        # below the bound pi
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_partition_of_unity_property(kind, eps_lo, eps_hi, tol, frac, seed):
+    surface = FlatTorus() if kind == "torus" else Sphere()
+    bumps = build_partition(surface, eps_lo + (eps_hi - eps_lo) * frac)
+    rng = np.random.default_rng(seed)
+    chart = rng.choice(list(surface.charts))
+    pts = rng.uniform(-3.0, 3.0, size=(200, 2))
+    psi = bumps.psi_values(chart, pts)
+    assert np.all(psi >= 0.0)
+    assert np.max(np.abs(np.sum(psi, axis=0) - 1.0)) <= tol
 
 
 def test_partition_requires_small_radius(torus, dumbbell):

@@ -133,6 +133,46 @@ def test_surface_integral_mode_vanishes(torus):
     assert abs(surface_integral(torus, fld)) < 1e-12
 
 
+def _cos_torus(torus):
+    fld = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
+    return ConformalFamily(torus, [fld]).at([0.3])
+
+
+def test_christoffel_matches_inverse_reference(sphere, dumbbell, torus, rng):
+    for surf, chart, lo, hi in [(sphere, "north", -2.0, 2.0), (dumbbell, "main", 0.05, 0.95),
+                                (_cos_torus(torus), "main", 0.0, 1.0)]:
+        x = rng.uniform(lo, hi, size=(300, 2))
+        dg = surf.metric_deriv(chart, x)
+        bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+        ref = 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(surf.metric(chart, x)),
+                              bracket)
+        got = surf.christoffel(chart, x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), surf.name
+
+
+def test_quadrature_matches_det_reference(torus, sphere, dumbbell):
+    fld = ScalarField(lambda c, x: 2.0 + np.sin(np.asarray(x)[..., 0])
+                      * np.cos(np.asarray(x)[..., 1]))
+
+    def raw(surf, n, f):
+        tot = 0.0
+        for chart, pts, w in surf.quadrature(n):
+            dens = np.sqrt(np.linalg.det(surf.metric(chart, pts)))
+            tot += float(np.sum(w * dens * (1.0 if f is None else f.value(chart, pts))))
+        return tot
+
+    def richardson(surf, n, f=None):
+        return (4.0 * raw(surf, 2 * n, f) - raw(surf, n, f)) / 3.0
+
+    for surf in (torus, sphere, _cos_torus(torus), dumbbell):
+        vol = richardson(surf, 48)
+        assert volume(surf, 48) == pytest.approx(vol, rel=1e-14, abs=0)
+        assert volume(surf, 48, richardson=False) == pytest.approx(raw(surf, 48, None),
+                                                                   rel=1e-14, abs=0)
+        avg = richardson(surf, 48, fld) / vol
+        assert surface_average(surf, fld, 48) == pytest.approx(avg, rel=1e-14, abs=0)
+
+
 def test_geodesic_distance_helper(torus):
     d = geodesic_distance(torus, ("main", [0.0, 0.0]), ("main", [0.3, 0.4]))
     assert d == pytest.approx(0.5, abs=1e-12)
