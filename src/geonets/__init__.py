@@ -14,9 +14,9 @@ from .solver import (ClosedGeodesicResult, EmbeddednessCertificate, SolveResult,
                      stationarity_residual)
 from .variation import (PerturbationDirection, conformal_direction, eps_close,
                         family_direction, fd_length_derivative, first_variation,
-                        resolved_family, run_battery, width_derivative_check)
+                        resolved_family, run_battery)
 from .minmax import (ShortenResult, Sweepout, WidthEstimate, birkhoff_shorten,
-                     build_sweepout, dumbbell_realizer, dumbbell_width,
+                     build_sweepout, dumbbell_kink, dumbbell_realizer, dumbbell_width,
                      minmax_upper_bound, weyl_ratio_probe)
 from .equidist import (BumpSystem, ConvexSearchResult, DiscrepancyReport,
                        WeightedNetFamily, build_partition,

@@ -2,8 +2,9 @@
 
 Subcommands: solve-net, check-variation, dumbbell, widths, partition,
 equidistribute, selftest.  Exit code 0 on success, 1 on assertion
-failure, 2 on configuration errors.  Outputs embed the config hash, the
-seed and the resolution knobs as comment lines.
+failure, 2 on configuration errors and on the library's ``ValueError``
+(``DomainError``, ``DegenerateNetError``, unparsable numbers).  Outputs
+embed the config hash, the seed and the resolution knobs as comment lines.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _load_config(path):
     return cfg
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -75,6 +76,8 @@ def _outdir(args):
 
 def cmd_solve_net(args, cfg):
     surface = surfaces.load_surface(cfg)
+    if not isinstance(surface, surfaces.FlatTorus):
+        raise ConfigError(f"solve-net builds torus nets only, not nets on a {surface.name}")
     net_cfg = cfg["net"] if cfg.has_section("net") else {}
     kind = net_cfg.get("kind", "theta")
     if kind == "theta":
@@ -122,27 +125,9 @@ def cmd_check_variation(args, cfg):
 def cmd_dumbbell(args, cfg):
     neck = float(cfg.get("surface", "neck", fallback="0.2"))
     base = surfaces.Dumbbell(neck=neck)
-    family = surfaces.DumbbellWidthFamily(base)
     c = base.great_circle_length
-    t_grid = np.arange(-0.3, 0.3001, 0.05)
-
-    def width(t):
-        metric = family.at(t)
-        sw = minmax.build_sweepout(metric, 1, "profile")
-        return minmax.minmax_upper_bound(sw, metric, shorten=False).upper_bound
-
-    rows = []
-    worst = 0.0
-    for t in t_grid:
-        est = width(t)
-        model = minmax.dumbbell_width(t, scale=c)
-        rel = abs(est - model) / model
-        worst = max(worst, rel)
-        rows.append({"t": float(t), "upper_bound": est, "model": model,
-                     "rel_error": rel, "realizer": minmax.dumbbell_realizer(float(t))})
-    h = 0.05
-    slope_plus = (width(h) - width(0.0)) / h
-    slope_minus = (width(0.0) - width(-h)) / h
+    rows, slope_plus, slope_minus = minmax.dumbbell_kink(base)
+    worst = max(r["rel_error"] for r in rows)
     gap = slope_plus - slope_minus
     kink = abs(gap) > 10 * 1e-5
     out = _outdir(args)
@@ -176,10 +161,7 @@ def cmd_partition(args, cfg):
     surface = surfaces.load_surface(cfg)
     eps1 = float(cfg.get("partition", "eps1", fallback="0.3"))
     k_min = int(cfg.get("partition", "k_min", fallback="4"))
-    try:
-        bumps = equidist.build_partition(surface, eps1, k_min)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    bumps = equidist.build_partition(surface, eps1, k_min)
     rng = np.random.default_rng(args.seed)
     chart = next(iter(surface.charts.values()))
     pts = rng.uniform(chart.lo, chart.hi, size=(2000, 2))
@@ -304,7 +286,7 @@ def main(argv=None):
         return 2
     try:
         return COMMANDS[args.subcommand](args, cfg)
-    except ConfigError as exc:
+    except ValueError as exc:   # ConfigError, DomainError, DegenerateNetError, bad numbers
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

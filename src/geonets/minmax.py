@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .nets import Edge, GammaNet, WeightedMultigraph, dumbbell_circle, sphere_latitude
-from .surfaces import Dumbbell, FlatTorus, Sphere, Surface, _root_surface, volume
+from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface,
+                       _root_surface, volume)
 
 
 @dataclass
@@ -124,6 +124,8 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface, polish=True,
     i = int(np.argmax(lengths))
     best_c, best = float(sweepout.grid[i]), float(lengths[i])
     if polish and 0 < i < len(sweepout.grid) - 1:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda c: -slice_length(c), method="bounded",
                               bounds=(sweepout.grid[i - 1], sweepout.grid[i + 1]),
                               options={"xatol": 1e-10})
@@ -233,6 +235,34 @@ def dumbbell_realizer(t):
     if t < 0:
         return "S2"
     return "both"
+
+
+#: family parameters of the dumbbell width table, and the one-sided step at t = 0
+KINK_T_GRID = np.arange(-0.3, 0.3001, 0.05)
+KINK_STEP = 0.05
+
+
+def dumbbell_kink(base: Dumbbell):
+    """``(rows, slope_plus, slope_minus)`` of the bell-scaled family of
+    ``base``: per t of :data:`KINK_T_GRID` the profile-sweepout width upper
+    bound against the model c(1 + |t|), and the one-sided difference
+    quotients of the width at t = 0 over :data:`KINK_STEP`."""
+    family = DumbbellWidthFamily(base)
+
+    def width(t):
+        metric = family.at(t)
+        sw = build_sweepout(metric, 1, "profile")
+        return minmax_upper_bound(sw, metric, shorten=False).upper_bound
+
+    rows = []
+    for t in KINK_T_GRID:
+        est = width(t)
+        model = dumbbell_width(t, scale=base.great_circle_length)
+        rows.append({"t": float(t), "upper_bound": est, "model": model,
+                     "rel_error": abs(est - model) / model,
+                     "realizer": dumbbell_realizer(float(t))})
+    w0 = width(0.0)
+    return rows, (width(KINK_STEP) - w0) / KINK_STEP, (w0 - width(-KINK_STEP)) / KINK_STEP
 
 
 # ---------------------------------------------------------------------------

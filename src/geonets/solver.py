@@ -16,7 +16,6 @@ from functools import cached_property, partial
 from itertools import count
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .nets import DegenerateNetError, GammaNet
 from .surfaces import Surface
@@ -313,6 +312,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         length_floor = 1e-4 * metric.injectivity_lower_bound
     if init.min_edge_length(metric) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
+    from scipy.optimize import minimize
 
     history = []
     net = init.copy()

@@ -18,8 +18,6 @@ import configparser
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 
 class DomainError(ValueError):
@@ -161,23 +159,28 @@ class Surface:
         """Geodesic distances between the rows of ``P`` and of ``Q``,
         shape ``(len(P), len(Q))``.
 
-        Mesh fallback: every point snaps to its nearest mesh node in
-        unwrapped chart coordinates (first node on ties), one Dijkstra
-        runs per distinct node of ``P``, and a pair snapped to one node
-        is measured along the straight chart segment.
+        Mesh fallback on the 97 x 97 grid of :meth:`_mesh`: every point
+        snaps to its nearest node, rounded per axis and wrapped on periodic
+        axes (so theta = 2 pi snaps to theta = 0); one Dijkstra runs per
+        distinct node of ``P``, and a pair snapped to one node is measured
+        along the short chart segment between its points.
         """
-        chart, pts, graph = self._mesh(96)
-        P = self.transition(chart_p, chart, P)
-        Q = self.transition(chart_q, chart, Q)
-        ip = np.argmin(np.sum((pts - P[:, None]) ** 2, axis=-1), axis=1)
-        iq = np.argmin(np.sum((pts - Q[:, None]) ** 2, axis=-1), axis=1)
+        from scipy.sparse.csgraph import dijkstra
+
+        n = 97
+        box, h, graph = self._mesh(n)
+        P = self.transition(chart_p, box.name, P)
+        Q = self.transition(chart_q, box.name, Q)
+        modes = ["wrap" if per else "clip" for per in box.periodic]
+        ip, iq = (np.ravel_multi_index(np.rint((X - box.lo) / h).astype(int).T, (n, n),
+                                       mode=modes) for X in (P, Q))
         sources, row = np.unique(ip, return_inverse=True)
         out = dijkstra(graph, directed=False, indices=sources)[row[:, None], iq]
         a, b = np.nonzero(ip[:, None] == iq)
         if a.size:
-            d = Q[b] - P[a]
-            g = self.metric(chart, 0.5 * (P[a] + Q[b]))
-            out[a, b] = np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
+            d, span = Q[b] - P[a], box.hi - box.lo
+            d = np.where(box.periodic, d - span * np.round(d / span), d)
+            out[a, b] = self._segment_lengths(box.name, P[a], d)
         return out
 
     def geodesic_midpoint(self, chart, p, q):
@@ -194,26 +197,39 @@ class Surface:
         corr = np.einsum("...kij,...i,...j->...k", gam, delta, delta)
         return mid - 0.125 * corr
 
-    def _mesh_nodes(self, n):
-        """``(chart, (N, 2) nodes, (E, 2) node-index edges)`` of an n x n
-        distance mesh, or None where the surface has none."""
-        return None
+    def _segment_lengths(self, chart, x, d):
+        """Metric lengths of the chart steps ``d`` from the points ``x``,
+        measured at their midpoints."""
+        g = self.metric(chart, x + 0.5 * d)
+        return np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
 
     def _mesh(self, n):
-        """The cached ``(chart, nodes, graph)`` of the n x n mesh, whose
-        edges are weighted by the metric length of the chart segment."""
+        """The cached ``(box, h, graph)`` of the n x n distance grid on the
+        box of the only chart: node ``(i, j)`` sits at ``lo + (i, j) * h``
+        with flat index ``i * n + j``.
+
+        A periodic axis has n nodes without its endpoint and wraps mod n;
+        a closed one has n nodes from lo to hi, so an odd n puts a node
+        row on its midline.  Every node links to its king and knight
+        neighbours, and each edge is weighted by the metric length of its
+        short step, measured at the step's midpoint even where that lies
+        past ``hi`` on a periodic axis.
+        """
         if n not in self._mesh_cache:
-            nodes = self._mesh_nodes(n)
-            if nodes is None:
+            if len(self.charts) != 1:
                 raise DomainError(f"no geodesic distance on {self.name}: "
-                                  "no closed form and no distance mesh")
-            chart, pts, edges = nodes
-            i, j = edges.T
-            d = pts[j] - pts[i]
-            g = self.metric(chart, 0.5 * (pts[i] + pts[j]))
-            w = np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
-            graph = coo_matrix((w, (i, j)), shape=(len(pts), len(pts))).tocsr()
-            self._mesh_cache[n] = chart, pts, graph
+                                  "no closed form and more than one chart")
+            from scipy.sparse import coo_matrix
+
+            (box,) = self.charts.values()
+            h = (box.hi - box.lo) / np.where(box.periodic, n, n - 1)
+            steps = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)])
+            ij = np.indices((n, n)).reshape(2, -1).T
+            to = ij[:, None] + steps
+            src, k = np.nonzero(np.all(np.asarray(box.periodic) | ((to >= 0) & (to < n)), axis=-1))
+            dst = np.ravel_multi_index(to[src, k].T, (n, n), mode="wrap")
+            w = self._segment_lengths(box.name, box.lo + ij[src] * h, steps[k] * h)
+            self._mesh_cache[n] = box, h, coo_matrix((w, (src, dst)), shape=(n * n, n * n)).tocsr()
         return self._mesh_cache[n]
 
 
@@ -405,8 +421,8 @@ class Dumbbell(Surface):
         self.neck = float(neck)
         self.bell = float(bell)
         self.u_margin = float(u_margin)
-        self.charts = {"main": Chart("main", np.array([0.0, -np.inf]),
-                                     np.array([1.0, np.inf]), (False, True))}
+        self.charts = {"main": Chart("main", np.zeros(2), np.array([1.0, 2 * np.pi]),
+                                     (False, True))}
         self.injectivity_lower_bound = self.neck
         us = np.linspace(0.0, 0.5, 4001)
         rs = self.profile(us)
@@ -467,27 +483,33 @@ class Dumbbell(Surface):
         w = np.full(len(pts), (1.0 - 2 * m) / nu * 2 * np.pi / nth)
         return [("main", pts, w)]
 
-    def _mesh_nodes(self, n):
-        m = self.u_margin
-        u = np.linspace(m, 1.0 - m, n)
-        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        uu, tt = np.meshgrid(u, th, indexing="ij")
-        pts = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-        # node (i, j) links to (i + di, j + dj mod n) for each stencil offset
-        di, dj = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]).T
-        i = np.arange(n)[:, None, None] + di
-        j = (np.arange(n)[None, :, None] + dj) % n
-        src = np.broadcast_to(np.arange(n * n).reshape(n, n, 1), (n, n, di.size))
-        keep = np.broadcast_to(i < n, src.shape)
-        dst = i * n + j
-        return "main", pts, np.stack([src[keep], dst[keep]], axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # conformal families
 # ---------------------------------------------------------------------------
 
-class _ScaledSurface(Surface):
+class DerivedSurface(Surface):
+    """A tensor of its own on the charts of ``base``: charts, injectivity
+    bound, transitions, wrapping and quadrature are the base's."""
+
+    def __init__(self, base: Surface, name):
+        super().__init__()
+        self.base = base
+        self.charts = base.charts
+        self.injectivity_lower_bound = base.injectivity_lower_bound
+        self.name = name
+
+    def transition(self, src, dst, x):
+        return self.base.transition(src, dst, x)
+
+    def wrap(self, chart, x):
+        return self.base.wrap(chart, x)
+
+    def quadrature(self, n):
+        return self.base.quadrature(n)
+
+
+class _ScaledSurface(DerivedSurface):
     """Base surface with the tensor multiplied by a positive factor field.
 
     The factor is ``e^{2 phi}`` for :class:`ConformalFamily` and
@@ -495,12 +517,8 @@ class _ScaledSurface(Surface):
     callables give the log-factor and its gradient.
     """
 
-    def __init__(self, base: Surface, log_factor, log_factor_grad, name=None):
-        super().__init__()
-        self.base = base
-        self.charts = base.charts
-        self.injectivity_lower_bound = base.injectivity_lower_bound
-        self.name = name or f"scaled-{base.name}"
+    def __init__(self, base: Surface, log_factor, log_factor_grad, name):
+        super().__init__(base, name)
         self._phi = log_factor
         self._dphi = log_factor_grad
 
@@ -518,27 +536,10 @@ class _ScaledSurface(Surface):
         term = 2.0 * dphi[..., :, None, None] * g[..., None, :, :]
         return fac[..., None, None, None] * (dg + term)
 
-    def transition(self, src, dst, x):
-        return self.base.transition(src, dst, x)
-
-    def wrap(self, chart, x):
-        return self.base.wrap(chart, x)
-
-    def quadrature(self, n):
-        return self.base.quadrature(n)
-
-    def geodesic_midpoint(self, chart, p, q):
-        # conformal scaling bends geodesics; fall back to the Christoffel
-        # corrected midpoint of the scaled metric
-        return Surface.geodesic_midpoint(self, chart, p, q)
-
-    def _mesh_nodes(self, n):
-        return self.base._mesh_nodes(n)
-
 
 def _root_surface(surface: Surface) -> Surface:
-    """The model surface under any chain of derived (scaled) surfaces."""
-    while hasattr(surface, "base"):
+    """The model surface under any chain of derived surfaces."""
+    while isinstance(surface, DerivedSurface):
         surface = surface.base
     return surface
 

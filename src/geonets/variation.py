@@ -11,13 +11,13 @@ nets reproduce it to solver precision.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nets import GammaNet, torus_geodesic, torus_theta_net
 from .solver import solve_stationary, stationarity_residual, stationary_tracker
-from .surfaces import ConformalFamily, FlatTorus, ScalarField, Surface
+from .surfaces import ConformalFamily, DerivedSurface, FlatTorus, ScalarField, Surface
 
 
 @dataclass
@@ -90,65 +90,6 @@ def resolved_family(init: GammaNet, metric_family, **solve_kw):
 
 
 # ---------------------------------------------------------------------------
-# width derivative / kink check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WidthDerivativeReport:
-    t: float
-    analytic: float
-    slope_plus: float
-    slope_minus: float
-    two_sided: float
-    kink: bool
-    noise_floor: float
-    agree: bool
-
-    def to_record(self):
-        return {k: getattr(self, k) for k in
-                ("t", "analytic", "slope_plus", "slope_minus", "two_sided",
-                 "kink", "noise_floor", "agree")}
-
-
-def width_derivative_check(family, p, t, realizing_net: GammaNet, width_fn,
-                           h=1e-3, noise_floor=1e-5, rel_tol=0.02) -> WidthDerivativeReport:
-    """Compare width-estimate slopes against the first variation.
-
-    ``width_fn(s)`` returns the p-width upper bound of the family member
-    at parameter s.  One-sided slopes are first-order Richardson
-    extrapolated; a kink is flagged when they differ by more than ten
-    times the finite-difference noise floor.
-    """
-    metric = family.at(t)
-    w0 = width_fn(t)
-    Lnet = realizing_net.length(metric)
-    if abs(Lnet - w0) > max(1e-6, rel_tol * abs(w0)):
-        raise ValueError(f"realizing net length {Lnet:.6g} does not attain "
-                         f"the width estimate {w0:.6g}")
-
-    def one_sided(sign):
-        d1 = sign * (width_fn(t + sign * h) - w0) / h
-        d2 = sign * (width_fn(t + sign * h / 2) - w0) / (h / 2)
-        return 2.0 * d2 - d1
-
-    slope_plus = one_sided(+1.0)
-    slope_minus = one_sided(-1.0)
-    two_sided = 0.5 * (slope_plus + slope_minus)
-    kink = abs(slope_plus - slope_minus) > 10.0 * noise_floor
-    analytic = first_variation(realizing_net, metric, family_direction(family, t))
-    if kink:
-        agree = (abs(slope_plus - analytic) <= rel_tol * max(1.0, abs(analytic))
-                 or abs(slope_minus - analytic) <= rel_tol * max(1.0, abs(analytic)))
-    else:
-        agree = abs(two_sided - analytic) <= rel_tol * max(1.0, abs(analytic))
-    return WidthDerivativeReport(t=float(t), analytic=float(analytic),
-                                 slope_plus=float(slope_plus),
-                                 slope_minus=float(slope_minus),
-                                 two_sided=float(two_sided), kink=bool(kink),
-                                 noise_floor=float(noise_floor), agree=bool(agree))
-
-
-# ---------------------------------------------------------------------------
 # rescaled closeness
 # ---------------------------------------------------------------------------
 
@@ -169,15 +110,11 @@ def eps_close(f_samples, g_samples, delta, eps):
 # linearly perturbed metrics (non-conformal FD families)
 # ---------------------------------------------------------------------------
 
-class LinearlyPerturbedSurface(Surface):
+class LinearlyPerturbedSurface(DerivedSurface):
     """g + s T for a fixed symmetric tensor field T (small s keeps SPD)."""
 
     def __init__(self, base: Surface, tensor, tensor_deriv, s):
-        super().__init__()
-        self.base = base
-        self.charts = base.charts
-        self.injectivity_lower_bound = base.injectivity_lower_bound
-        self.name = f"{base.name}+sT"
+        super().__init__(base, f"{base.name}+sT")
         self._T = tensor
         self._dT = tensor_deriv
         self.s = float(s)
@@ -187,18 +124,6 @@ class LinearlyPerturbedSurface(Surface):
 
     def metric_deriv(self, chart, x):
         return self.base.metric_deriv(chart, x) + self.s * np.asarray(self._dT(chart, x))
-
-    def transition(self, src, dst, x):
-        return self.base.transition(src, dst, x)
-
-    def wrap(self, chart, x):
-        return self.base.wrap(chart, x)
-
-    def quadrature(self, n):
-        return self.base.quadrature(n)
-
-    def _mesh_nodes(self, n):
-        return self.base._mesh_nodes(n)
 
 
 # ---------------------------------------------------------------------------

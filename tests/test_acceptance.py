@@ -13,7 +13,6 @@ import geonets as gn
 from geonets import cli
 from geonets.equidist import merged_block_ratios
 from geonets.solver import _inward_tangents
-from geonets.surfaces import DumbbellWidthFamily
 
 
 def _report(label, ok, detail):
@@ -82,20 +81,12 @@ def test_acceptance_03_vertex_balance(torus):
 
 def test_acceptance_04_dumbbell_kink(dumbbell):
     t0 = time.time()
-    family = DumbbellWidthFamily(dumbbell)
     c = dumbbell.great_circle_length
-
-    def width(t):
-        metric = family.at(t)
-        sw = gn.build_sweepout(metric, 1, "profile")
-        return gn.minmax_upper_bound(sw, metric, shorten=False).upper_bound
-
+    rows, slope_plus, slope_minus = gn.dumbbell_kink(dumbbell)
     worst = 0.0
-    for t in np.arange(-0.3, 0.3001, 0.05):
-        worst = max(worst, abs(width(t) - c * (1 + abs(t))) / (c * (1 + abs(t))))
-    h = 0.05
-    w0 = width(0.0)
-    gap = (width(h) - w0) / h - (w0 - width(-h)) / h
+    for r in rows:
+        worst = max(worst, abs(r["upper_bound"] - c * (1 + abs(r["t"]))) / (c * (1 + abs(r["t"]))))
+    gap = slope_plus - slope_minus
     elapsed = time.time() - t0
     ok = worst <= 0.02 and abs(abs(gap) - 2 * c) <= 0.05 * 2 * c and elapsed <= 300.0
     _report("4 dumbbell kink", ok,

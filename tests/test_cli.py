@@ -1,6 +1,8 @@
 """Command-line experiment runner."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +58,28 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     cfg.write_text("[surface]\nkind = dumbbell\n")
     rc = cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("partition", "[surface]\nkind = klein\n"),                 # DomainError
+    ("solve-net", "[net]\nkind = geodesic\nclass = 0,0\n"),    # DegenerateNetError
+    ("partition", "[partition]\neps1 = abc\n"),                 # ValueError
+    ("equidistribute", "[equidist]\nk_max = 0\n"),              # ValueError
+    ("solve-net", "[surface]\nkind = sphere\n"),                # no torus net here
+    ("solve-net", "[surface]\nkind = dumbbell\n"),
+], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell"])
+def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    rc = cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, geonets; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_rejected():

@@ -198,34 +198,49 @@ def test_pairwise_distances_match_references(torus, dumbbell, rng):
     Q = np.vstack([rng.uniform([0.02, 0.0], [0.98, 2 * np.pi], size=(4, 2)),
                    P[[0, 5, 8]], P[3] + [-1e-3, 1e-3]])
     D = dumbbell.distances("main", P, "main", Q)
-    chart, pts, graph = dumbbell._mesh(96)
+    box, _, graph = dumbbell._mesh(97)
+    h = np.array([1 / 96, 2 * np.pi / 97])
+
+    def node(x):
+        """Nearest node of the 97 x 97 grid, with theta wrapped mod 97."""
+        i, j = np.rint(x / h).astype(int)
+        return i * 97 + j % 97
+
     for a, b in np.ndindex(D.shape):
-        ip, iq = (int(np.argmin(np.sum((pts - x) ** 2, axis=1))) for x in (P[a], Q[b]))
+        ip, iq = node(P[a]), node(Q[b])
         if ip == iq:
             d = Q[b] - P[a]
-            ref = np.sqrt(d @ dumbbell.metric(chart, 0.5 * (P[a] + Q[b])) @ d)
+            d[1] -= 2 * np.pi * np.round(d[1] / (2 * np.pi))
+            ref = np.sqrt(d @ dumbbell.metric(box.name, P[a] + 0.5 * d) @ d)
         else:
             ref = dijkstra(graph, directed=False, indices=ip)[iq]
         assert D[a, b] == ref
+    assert D[0, 6] == D[8, 4] == 0.0
     assert dumbbell.distance("main", P[6], "main", P[8]) == D[6, 6]
 
 
 def test_dumbbell_mesh_matches_stencil_loop(dumbbell, rng):
     stencil = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
-    n = 12
-    _, _, edges = dumbbell._mesh_nodes(n)
+    n = 11
+    graph = dumbbell._mesh(n)[2].tocoo()
     ref = [(i * n + j, (i + di) * n + (j + dj) % n)
            for i in range(n) for j in range(n) for di, dj in stencil if i + di < n]
-    assert sorted(map(tuple, edges.tolist())) == sorted(ref)
+    assert sorted(zip(graph.row.tolist(), graph.col.tolist())) == sorted(ref)
 
     surf = DumbbellWidthFamily(dumbbell).at(0.2)
-    chart, pts, graph = surf._mesh(96)
-    _, _, edges = surf._mesh_nodes(96)
-    seam = edges[np.abs(pts[edges[:, 0], 1] - pts[edges[:, 1], 1]) > np.pi]
-    for i, j in np.vstack([edges[rng.choice(len(edges), 300)], seam[:20]]):
-        d = pts[j] - pts[i]
-        g = surf.metric(chart, 0.5 * (pts[i] + pts[j]))
-        assert graph[i, j] == pytest.approx(np.sqrt(d @ g @ d), rel=1e-14)
+    n = 97
+    box, _, graph = surf._mesh(n)
+    graph = graph.tocoo()
+    h = np.array([1 / (n - 1), 2 * np.pi / n])
+    x = np.stack(np.divmod(graph.row, n), axis=-1) * h
+    y = np.stack(np.divmod(graph.col, n), axis=-1) * h
+    d = y - x
+    seam = np.flatnonzero(np.abs(d[:, 1]) > np.pi)
+    d[:, 1] = np.mod(d[:, 1] + np.pi, 2 * np.pi) - np.pi         # the wrapped step
+    assert seam.size
+    for e in np.concatenate([rng.choice(len(d), 300), seam[:40]]):
+        g = surf.metric(box.name, x[e] + 0.5 * d[e])
+        assert graph.data[e] == pytest.approx(np.sqrt(d[e] @ g @ d[e]), rel=1e-14)
 
 
 def test_load_surface_from_config():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geonets import (ConformalFamily, DomainError, ScalarField, closed_geodesic_certificate,
-                     dumbbell_circle, embeddedness_certificate, is_nondegenerate,
+                     constant_field, dumbbell_circle, embeddedness_certificate, is_nondegenerate,
                      second_variation_spectrum, solve_stationary, sphere_latitude,
                      stationarity_residual, torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
@@ -230,16 +230,38 @@ def test_certificate_separations_match_pairwise_loop(torus, dumbbell):
 
 
 @pytest.mark.parametrize("kind", ["torus", "sphere"])
-def test_distance_without_closed_form_or_mesh_is_domain_error(kind, torus, sphere):
-    base, net = ((torus, torus_geodesic((1, 0))) if kind == "torus"
-                 else (sphere, sphere_latitude(sphere, 1.0)))
+def test_distance_without_closed_form_or_mesh_is_domain_error(kind, torus, sphere, rng):
+    if kind == "torus":
+        # one chart: the mesh measures e^c times the flat distance.  Snapping
+        # moves each end by up to h / sqrt(2) = 0.0073; of these 40,000
+        # pairs, the 35,011 at least 0.2 apart measured at most 7.32 % off
+        c = 0.2
+        metric = ConformalFamily(torus, [constant_field(1.0)]).at([c])
+        P, Q = rng.uniform(-0.5, 1.5, size=(2, 200, 2))
+        D = metric.distances("main", P, "main", Q)
+        ref = np.exp(c) * torus.distances("main", P, "main", Q)
+        far = ref >= 0.2 * np.exp(c)
+        assert far.sum() > 10_000
+        assert np.max(np.abs(D - ref)[far] / ref[far]) <= 0.08
+        return
+    net = sphere_latitude(sphere, 1.0)
     bump = ScalarField(lambda c, x: np.cos(np.asarray(x)[..., 0]))
-    metric = ConformalFamily(base, [bump]).at([0.2])
+    metric = ConformalFamily(sphere, [bump]).at([0.2])
     chart, pts = net.edge_paths[0]
     with pytest.raises(DomainError, match=re.escape(metric.name)):
         metric.distance(chart, pts[0], chart, pts[3])
     with pytest.raises(DomainError):
         embeddedness_certificate(net, metric, M_bound=12, cert_samples=9)
+
+
+def test_dumbbell_mesh_closes_the_seam_on_the_waist(dumbbell):
+    assert dumbbell.distance("main", [0.5, 0.0], "main", [0.5, 2 * np.pi]) == 0.0
+    # 13 samples on the neck circle of radius r: the certificate pairs
+    # samples at least 2 of 12 steps apart, an angle of pi / 3
+    cert = embeddedness_certificate(dumbbell_circle(dumbbell, 0.5), dumbbell,
+                                    M_bound=12, cert_samples=13)
+    r = dumbbell.neck
+    assert 2 * r * np.sin(np.pi / 6) <= cert.dE_min[0] <= r * np.pi / 3
 
 
 def test_closed_geodesic_certificate_circle(torus):
