@@ -99,6 +99,7 @@ def cmd_solve_net(args, cfg):
         "edge_residual": result.report.edge_residual,
         "vertex_residual": result.report.vertex_residual,
         "total_first_variation_norm": result.report.total_first_variation_norm,
+        "trace": result.trace,
         "meta": _meta(args, cfg),
     }
     (out / "solve_report.json").write_text(json.dumps(record, indent=2))

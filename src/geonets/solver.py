@@ -11,14 +11,17 @@ tracker and the second-variation spectrum.
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import Surface
+from .surfaces import DomainError, Surface
 
 
 @dataclass
@@ -38,7 +41,7 @@ class SolveResult:
     converged: bool
     iterations: int
     length: float
-    lengths_history: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     message: str = ""
 
 
@@ -70,73 +73,74 @@ class ClosedGeodesicResult:
 class _Dofs:
     """Flat parametrization: vertex positions plus edge interior samples.
 
-    Edge endpoints are tied to their vertices through fixed offsets
-    (lattice shifts on periodic charts), so moving a vertex moves every
-    incident polyline end consistently.
+    Point p (a vertex or interior sample, in dof order) owns dofs 2p and
+    2p + 1.  Polyline sample k is point ``pidx[k]`` plus offset row
+    ``off[k]``: zero inside an edge, a lattice shift on periodic charts at
+    its ends, so moving a vertex moves every incident end consistently.
+    Segment j runs from sample ``seg[j]`` to ``seg[j] + 1`` with weight
+    ``mult[j]``; ``chart_segments`` selects the segments of each chart.
     """
 
-    def __init__(self, net: GammaNet):
+    def __init__(self, net: GammaNet, surface: Surface):
         self.net = net
         self.vorder = list(net.vertex_points.keys())
         self.vindex = {v: i for i, v in enumerate(self.vorder)}
-        self.offsets = []
-        for i, e in enumerate(net.graph.edges):
-            chart, pts = net.edge_paths[i]
-            c0, x0 = net.vertex_points[e.v0]
-            c1, x1 = net.vertex_points[e.v1]
-            if chart != c0 or chart != c1:
-                raise ValueError("edge endpoints must share the chart of their vertices")
-            self.offsets.append((pts[0] - x0, pts[-1] - x1))
         self.nv = len(self.vorder)
         self.interior_counts = [pts.shape[0] - 2 for _, pts in net.edge_paths]
         self.size = 2 * self.nv + 2 * sum(self.interior_counts)
+        pidx, ofs = [], self.nv
+        for e, (chart, _), m in zip(net.graph.edges, net.edge_paths, self.interior_counts):
+            if chart != net.vertex_points[e.v0][0] or chart != net.vertex_points[e.v1][0]:
+                raise ValueError("edge endpoints must share the chart of their vertices")
+            if chart not in surface.charts:
+                raise DomainError(f"net chart {chart!r} is not a chart of {surface.name}")
+            pidx += [self.vindex[e.v0], *range(ofs, ofs + m), self.vindex[e.v1]]
+            ofs += m
+        self.pidx = np.asarray(pidx)
+        self.off = (np.concatenate([pts for _, pts in net.edge_paths])
+                    - self.pack().reshape(-1, 2)[self.pidx])
+        ends = np.cumsum([pts.shape[0] for _, pts in net.edge_paths])
+        self.bounds, self.seg = ends[:-1], np.delete(np.arange(ends[-1]), ends - 1)
+        runs = np.diff(ends, prepend=0) - 1
+        self.mult = np.repeat([float(e.mult) for e in net.graph.edges], runs)
+        charts = np.repeat([c for c, _ in net.edge_paths], runs)
+        names = list(dict.fromkeys(charts))
+        self.chart_segments = [(c, np.flatnonzero(charts == c) if len(names) > 1 else slice(None))
+                               for c in names]
+        # the dof of each (segment end, coordinate): every segment's end, then its start
+        tips = np.concatenate([self.pidx[self.seg + 1], self.pidx[self.seg]])
+        self.scatter = (2 * tips[:, None] + np.arange(2)).ravel()
 
     def pack(self):
-        x = np.empty(self.size)
-        for i, v in enumerate(self.vorder):
-            x[2 * i:2 * i + 2] = self.net.vertex_points[v][1]
-        ofs = 2 * self.nv
-        for (chart, pts), m in zip(self.net.edge_paths, self.interior_counts):
-            x[ofs:ofs + 2 * m] = pts[1:-1].ravel()
-            ofs += 2 * m
-        return x
+        x = np.empty((self.size // 2, 2))
+        x[self.pidx] = np.concatenate([pts for _, pts in self.net.edge_paths])
+        x[:self.nv] = [self.net.vertex_points[v][1] for v in self.vorder]
+        return x.ravel()
+
+    def samples(self, x):
+        """Every polyline sample of the net at ``x``, edge after edge."""
+        return x.reshape(-1, 2)[self.pidx] + self.off
 
     def unpack(self, x):
-        net = self.net.copy()
-        for i, v in enumerate(self.vorder):
-            chart, _ = net.vertex_points[v]
-            net.vertex_points[v] = (chart, x[2 * i:2 * i + 2].copy())
-        ofs = 2 * self.nv
-        for j, (e, m) in enumerate(zip(net.graph.edges, self.interior_counts)):
-            chart, pts = net.edge_paths[j]
-            pts = pts.copy()
-            pts[1:-1] = x[ofs:ofs + 2 * m].reshape(m, 2)
-            off0, off1 = self.offsets[j]
-            pts[0] = net.vertex_points[e.v0][1] + off0
-            pts[-1] = net.vertex_points[e.v1][1] + off1
-            net.edge_paths[j] = (chart, pts)
-            ofs += 2 * m
-        return net
+        verts = {v: (self.net.vertex_points[v][0], x[2 * i:2 * i + 2].copy())
+                 for i, v in enumerate(self.vorder)}
+        paths = zip((c for c, _ in self.net.edge_paths), np.split(self.samples(x), self.bounds))
+        return GammaNet(self.net.graph, verts, list(paths))
 
     @cached_property
     def hessian_groups(self):
         """Column groups of a distance-2 colouring of the sample chains.
 
-        Point p (vertex or interior sample, in dof order) owns dofs 2p and
-        2p + 1, and its gradient rows depend only on p and its neighbours
-        along the chain v0, samples, v1 of each edge.  Points at least 3
-        apart therefore touch disjoint rows and share one central
-        difference.  Per group: the perturbed dofs and the (row, column)
-        pairs that difference fills.
+        A point's gradient rows depend only on the point and its
+        neighbours along the chain v0, samples, v1 of each edge.  Points
+        at least 3 apart therefore touch disjoint rows and share one
+        central difference.  Per group: the perturbed dofs and the
+        (row, column) pairs that difference fills.
         """
         nbrs = [set() for _ in range(self.size // 2)]
-        ofs = self.nv
-        for e, m in zip(self.net.graph.edges, self.interior_counts):
-            chain = [self.vindex[e.v0], *range(ofs, ofs + m), self.vindex[e.v1]]
-            for a, b in zip(chain[:-1], chain[1:]):
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            ofs += m
+        for a, b in zip(self.pidx[self.seg], self.pidx[self.seg + 1]):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         colour = []
         for p, near in enumerate(nbrs):
             taken = {colour[r] for q in near for r in (q, *nbrs[q]) if r < p}
@@ -154,49 +158,26 @@ class _Dofs:
                 groups.append((2 * points + k, np.asarray(rows), np.asarray(cols)))
         return groups
 
-    def scatter_point_grads(self, point_grads):
-        """Accumulate per-edge sample gradients into the dof gradient."""
-        g = np.zeros(self.size)
-        ofs = 2 * self.nv
-        for j, (e, m) in enumerate(zip(self.net.graph.edges, self.interior_counts)):
-            gp = point_grads[j]
-            g[ofs:ofs + 2 * m] += gp[1:-1].ravel()
-            ofs += 2 * m
-            i0 = self.vindex[e.v0]
-            i1 = self.vindex[e.v1]
-            g[2 * i0:2 * i0 + 2] += gp[0]
-            g[2 * i1:2 * i1 + 2] += gp[-1]
-        return g
-
-
-def _length_and_point_grads(net: GammaNet, metric: Surface):
-    """Discrete length and its gradient w.r.t. every polyline sample."""
-    total = 0.0
-    point_grads = []
-    for i, e in enumerate(net.graph.edges):
-        chart, pts = net.edge_paths[i]
-        delta = np.diff(pts, axis=0)
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        g = metric.metric(chart, mids)
-        dg = metric.metric_deriv(chart, mids)
-        gd = np.einsum("sij,sj->si", g, delta)
-        seg = np.sqrt(np.einsum("si,si->s", delta, gd))
-        q = np.einsum("skij,si,sj->sk", dg, delta, delta)
-        total += e.mult * float(np.sum(seg))
-        gp = np.zeros_like(pts)
-        # coincident samples contribute zero length; their (undefined)
-        # direction gets a zero subgradient so probing steps stay finite
-        safe = np.where(seg > 0.0, seg, 1.0)[:, None]
-        gp[1:] += np.where(seg[:, None] > 0.0, (gd + 0.25 * q) / safe, 0.0)
-        gp[:-1] += np.where(seg[:, None] > 0.0, (-gd + 0.25 * q) / safe, 0.0)
-        point_grads.append(e.mult * gp)
-    return total, point_grads
-
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
-    """Discrete length and its gradient at the dof vector ``x``."""
-    L, pg = _length_and_point_grads(dofs.unpack(x), metric)
-    return L, dofs.scatter_point_grads(pg)
+    """Discrete length and its gradient at the dof vector ``x``: one
+    ``metric`` and one ``metric_deriv`` call per chart on the segment
+    midpoints, segment-end gradients summed onto points by ``bincount``."""
+    pts = dofs.samples(x)
+    a, b = pts[dofs.seg], pts[dofs.seg + 1]
+    delta, mids = b - a, 0.5 * (a + b)
+    g, dg = np.empty((len(delta), 2, 2)), np.empty((len(delta), 2, 2, 2))
+    for chart, sel in dofs.chart_segments:
+        g[sel] = metric.metric(chart, mids[sel])
+        dg[sel] = metric.metric_deriv(chart, mids[sel])
+    gd = np.einsum("sij,sj->si", g, delta)
+    seg = np.sqrt(np.einsum("si,si->s", delta, gd))
+    q = np.einsum("skij,si,sj->sk", dg, delta, delta)
+    # coincident samples contribute zero length (delta = 0); dividing by 1
+    # there gives their undefined direction a zero subgradient
+    safe, m = np.where(seg > 0.0, seg, 1.0)[:, None], dofs.mult[:, None]
+    push = np.concatenate([(gd + 0.25 * q) / safe * m, (-gd + 0.25 * q) / safe * m])
+    return float(dofs.mult @ seg), np.bincount(dofs.scatter, push.ravel(), dofs.size)
 
 
 #: central-difference step of the length Hessian; its O(h^2) truncation
@@ -231,9 +212,8 @@ def _pseudo_inverse(H):
 
 
 def length_gradient_norm(net: GammaNet, metric: Surface):
-    dofs = _Dofs(net)
-    _, pg = _length_and_point_grads(net, metric)
-    return float(np.linalg.norm(dofs.scatter_point_grads(pg)))
+    dofs = _Dofs(net, metric)
+    return float(np.linalg.norm(_length_and_dof_grad(dofs, metric, dofs.pack())[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,76 +276,137 @@ def stationarity_residual(net: GammaNet, metric: Surface) -> StationarityReport:
 # solver
 # ---------------------------------------------------------------------------
 
+class _Run(NamedTuple):
+    """End state of one optimizer phase."""
+    x: np.ndarray
+    f: float
+    g: np.ndarray
+    nit: int
+    n_grad: int
+    message: str = ""
+
+
+#: L-BFGS memory, Armijo constant and trial steps per line search
+_LBFGS_MEMORY, _ARMIJO, _MAX_BACKTRACKS = 10, 1e-4, 30
+
+
+def _lbfgs(fg, x, maxiter, ftol, gtol):
+    """Limited-memory BFGS (two-loop recursion) with a backtracking Armijo
+    search whose steps shrink by safeguarded quadratic interpolation.
+
+    ``fg(x)`` returns the value and the gradient.  Stops as L-BFGS-B does:
+    max |g| <= gtol, or a relative reduction (f - f+) / max(|f|, |f+|, 1)
+    <= ftol; otherwise when a line search fails or after ``maxiter``
+    iterations.  Curvature pairs with s.y <= 0 are not stored.
+    """
+    f, g = fg(x)
+    n_grad, pairs = 1, deque(maxlen=_LBFGS_MEMORY)
+    for nit in range(maxiter):
+        if np.max(np.abs(g)) <= gtol:
+            return _Run(x, f, g, nit, n_grad, "gradient below gtol")
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        slope = g @ d
+        if slope >= 0.0:            # rounding lost descent: restart from -g
+            pairs.clear()
+            d, slope = -g, -(g @ g)
+        # a fresh memory moves x by at most one unit on its first step
+        step = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))
+        for _ in range(_MAX_BACKTRACKS):
+            f_new, g_new = fg(x + step * d)
+            n_grad += 1
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            # minimiser of the quadratic through f, slope and f_new, safeguarded
+            quad = -slope * step**2 / (2.0 * (f_new - f - slope * step))
+            step = min(max(0.1 * step, quad), 0.5 * step)
+        else:
+            return _Run(x, f, g, nit, n_grad, "line search failed")
+        s, y = step * d, g_new - g
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, f_old, f, g = x + s, f, f_new, g_new
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return _Run(x, f, g, nit + 1, n_grad, "reduction below ftol")
+    return _Run(x, f, g, maxiter, n_grad, "iteration limit")
+
+
+def _trace_entry(phase, run: _Run, t0):
+    return {"phase": phase, "nit": run.nit, "n_grad": run.n_grad,
+            "grad_norm": float(np.linalg.norm(run.g)), "length": float(run.f),
+            "seconds": time.perf_counter() - t0}
+
+
 def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
                      length_floor=None, require_good=True) -> SolveResult:
     """Minimize total length from an initial net.
 
-    Deterministic: L-BFGS with the analytic discrete-length gradient.
-    When an edge collapses below the floor (default 1e-4 times the
-    metric's injectivity lower bound) the result is flagged as not
-    converged with a collapse message; a degenerate *initial* net raises
-    DegenerateNetError.
+    Deterministic: L-BFGS with the analytic discrete-length gradient,
+    then a Newton polish.  ``trace`` records one entry per phase.  When
+    an edge collapses below the floor (default 1e-4 times the metric's
+    injectivity lower bound) the result is flagged as not converged with
+    a collapse message; a degenerate *initial* net raises
+    DegenerateNetError, and a net on charts the metric lacks DomainError.
     """
     if require_good and not all(init.graph.is_good()):
         raise ValueError("initial graph is not good on every component")
     if length_floor is None:
         length_floor = 1e-4 * metric.injectivity_lower_bound
+    _Dofs(init, metric)             # DomainError on a chart the metric lacks
     if init.min_edge_length(metric) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
-    from scipy.optimize import minimize
 
-    history = []
-    net = init.copy()
+    net, trace, total_iters, message = init.copy(), [], 0, ""
     samples = [pts.shape[0] for _, pts in net.edge_paths]
-    total_iters = 0
-    message = ""
     # Length is reparametrization-invariant, so pure descent lets samples
     # drift tangentially and bunch up; interleave short L-BFGS rounds
     # with arclength-uniform resampling to keep the polylines immersed.
     while total_iters < max_iter:
-        dofs = _Dofs(net)
-        res = minimize(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": min(200, max_iter - total_iters),
-                                "gtol": 1e-14, "ftol": 1e-16})
-        total_iters += int(res.nit)
-        message = str(res.message)
-        net = dofs.unpack(res.x)
-        history.append(float(res.fun))
+        dofs, t0 = _Dofs(net, metric), time.perf_counter()
+        run = _lbfgs(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
+                     min(200, max_iter - total_iters), 1e-16, 1e-14)
+        trace.append(_trace_entry("lbfgs", run, t0))
+        total_iters, message = total_iters + run.nit, run.message
+        net = dofs.unpack(run.x)
         if net.min_edge_length(metric) <= length_floor:
-            report = StationarityReport(float("inf"), float("inf"), float("inf"))
+            report = StationarityReport(*[float("inf")] * 3)
             return SolveResult(net=net, report=report, converged=False,
                                iterations=total_iters, length=net.length(metric),
-                               lengths_history=history,
-                               message="an edge collapsed below the length floor")
+                               trace=trace, message="an edge collapsed below the length floor")
         net = net.resample(metric, samples)
         if length_gradient_norm(net, metric) <= tol:
             break
-        if len(history) >= 2 and abs(history[-2] - history[-1]) < 1e-15 and res.nit <= 1:
+        if run.nit <= 1 and len(trace) >= 2 and abs(trace[-2]["length"] - run.f) < 1e-15:
             break
     # final polish without resampling: from a near-stationary state the
     # tangential drift is negligible and L-BFGS can reach the tolerance
     if length_gradient_norm(net, metric) > tol:
-        dofs = _Dofs(net)
-        res = minimize(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500, "gtol": 1e-14, "ftol": 1e-18})
-        total_iters += int(res.nit)
-        message = str(res.message)
-        polished = dofs.unpack(res.x)
+        dofs, t0 = _Dofs(net, metric), time.perf_counter()
+        run = _lbfgs(partial(_length_and_dof_grad, dofs, metric), dofs.pack(), 500, 1e-18, 1e-14)
+        trace.append(_trace_entry("lbfgs-polish", run, t0))
+        total_iters, message = total_iters + run.nit, run.message
+        polished = dofs.unpack(run.x)
         if polished.min_edge_length(metric) > length_floor:
             net = polished
-        history.append(float(res.fun))
     # Newton polish on the gradient: line-search methods bottom out when
     # length changes fall below machine epsilon (gradient ~1e-7); a few
     # pseudo-inverse Newton steps on grad = 0 reach the 1e-8 regime.
     if length_gradient_norm(net, metric) > tol:
-        net = _newton_polish(net, metric, tol)
+        dofs, t0 = _Dofs(net, metric), time.perf_counter()
+        run = _newton_polish(dofs, metric, dofs.pack(), tol)
+        trace.append(_trace_entry("newton", run, t0))
+        net = dofs.unpack(run.x)
     report = stationarity_residual(net, metric)
-    converged = report.total_first_variation_norm <= tol
-    return SolveResult(net=net, report=report, converged=converged,
+    return SolveResult(net=net, report=report, converged=report.total_first_variation_norm <= tol,
                        iterations=total_iters, length=net.length(metric),
-                       lengths_history=history, message=message)
+                       trace=trace, message=message)
 
 
 def stationary_tracker(init: GammaNet, metric0: Surface):
@@ -378,7 +419,7 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     the result follows the stationary branch through ``init`` instead of
     sliding to a distant minimizer of the degenerate family.
     """
-    dofs = _Dofs(init)
+    dofs = _Dofs(init, metric0)
     x0 = dofs.pack()
     P = _pseudo_inverse(_length_hessian(dofs, metric0, x0))
 
@@ -394,37 +435,29 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     return track
 
 
-def _newton_polish(net: GammaNet, metric: Surface, tol, max_steps=6):
-    """Damped Newton iteration on the length gradient.
+def _newton_polish(dofs: _Dofs, metric: Surface, x, tol, max_steps=6) -> _Run:
+    """Damped Newton iteration on the length gradient from ``x``.
 
     The Hessian (coloured central differences of the analytic gradient)
     is singular along reparametrization and symmetry directions; the
     pseudo-inverse step ignores those and corrects only the directions
     that carry gradient.
     """
-    dofs = _Dofs(net)
-
-    def grad(x):
-        return _length_and_dof_grad(dofs, metric, x)[1]
-
-    x = dofs.pack()
-    g = grad(x)
-    for _ in range(max_steps):
-        gnorm = np.linalg.norm(g)
-        if gnorm <= 0.1 * tol:
-            break
+    f, g = _length_and_dof_grad(dofs, metric, x)
+    n_grad, nit = 1, 0
+    while nit < max_steps and np.linalg.norm(g) > 0.1 * tol:
         step = -_pseudo_inverse(_length_hessian(dofs, metric, x)) @ g
-        scale = 1.0
-        while scale > 1e-3:
-            g_new = grad(x + scale * step)
-            if np.linalg.norm(g_new) < gnorm:
-                x = x + scale * step
-                g = g_new
+        n_grad += 2 * len(dofs.hessian_groups)
+        for scale in 0.5 ** np.arange(10):         # 1 down to 2^-9
+            f_new, g_new = _length_and_dof_grad(dofs, metric, x + scale * step)
+            n_grad += 1
+            if np.linalg.norm(g_new) < np.linalg.norm(g):
+                x, f, g = x + scale * step, f_new, g_new
                 break
-            scale *= 0.5
         else:
             break
-    return dofs.unpack(x)
+        nit += 1
+    return _Run(x, f, g, nit, n_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +480,10 @@ def second_variation_spectrum(net: GammaNet, metric: Surface, k=None,
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(gradient norm {resid:.3e} > {residual_tol:g})")
 
-    dofs = _Dofs(net)
-    normals = []
-    for chart, pts in net.edge_paths:
-        t = pts[2:] - pts[:-2]
-        normals.append(np.stack([-t[:, 1], t[:, 0]], axis=-1))
-    normals = np.concatenate(normals)
+    dofs = _Dofs(net, metric)
+    pts, inner = dofs.samples(dofs.pack()), np.flatnonzero(dofs.pidx >= dofs.nv)
+    t = pts[inner + 1] - pts[inner - 1]         # interior samples in dof order
+    normals = np.stack([-t[:, 1], t[:, 0]], axis=-1)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
     nv2, ns = 2 * dofs.nv, normals.shape[0]

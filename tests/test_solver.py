@@ -1,6 +1,9 @@
 """Stationarity solver, second variation and certificates."""
 
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from geonets import (ConformalFamily, DomainError, ScalarField, closed_geodesic_
                      second_variation_spectrum, solve_stationary, sphere_latitude,
                      stationarity_residual, torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
-from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _length_hessian,
+from geonets.solver import (_FD_STEP, _Dofs, _lbfgs, _length_and_dof_grad, _length_hessian,
                             _newton_polish, length_gradient_norm)
 
 
@@ -110,15 +113,119 @@ def test_coloured_hessian_equals_dense(torus, sphere, dumbbell):
               (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell),
               (sphere_latitude(sphere, 1.0, samples=40), sphere)]
     for net, metric in cases:
-        dofs = _Dofs(net)
+        dofs = _Dofs(net, metric)
         x = dofs.pack()
         diff = _dense_length_hessian(dofs, metric, x) - _length_hessian(dofs, metric, x)
         assert np.max(np.abs(diff)) == 0.0
     # the group count does not grow with resolution (16 and 64 samples per
     # edge share a residue mod 3, which the greedy colouring depends on)
-    counts = [len(_Dofs(torus_theta_net(shifts, samples=s)).hessian_groups)
+    counts = [len(_Dofs(torus_theta_net(shifts, samples=s), torus).hessian_groups)
               for s in (16, 64)]
     assert counts[0] == counts[1] <= 10
+
+
+def _per_edge_length_and_dof_grad(dofs, metric, x):
+    """Reference: the discrete length and its gradient edge by edge."""
+    net = dofs.unpack(x)
+    total, g = 0.0, np.zeros(dofs.size)
+    ofs = 2 * dofs.nv
+    for e, (chart, pts), m in zip(net.graph.edges, net.edge_paths, dofs.interior_counts):
+        delta = np.diff(pts, axis=0)
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        gd = np.einsum("sij,sj->si", metric.metric(chart, mids), delta)
+        seg = np.sqrt(np.einsum("si,si->s", delta, gd))
+        q = np.einsum("skij,si,sj->sk", metric.metric_deriv(chart, mids), delta, delta)
+        total += e.mult * float(np.sum(seg))
+        gp = np.zeros_like(pts)
+        safe = np.where(seg > 0.0, seg, 1.0)[:, None]
+        gp[1:] += np.where(seg[:, None] > 0.0, (gd + 0.25 * q) / safe, 0.0)
+        gp[:-1] += np.where(seg[:, None] > 0.0, (-gd + 0.25 * q) / safe, 0.0)
+        gp *= e.mult
+        g[ofs:ofs + 2 * m] += gp[1:-1].ravel()
+        ofs += 2 * m
+        for v, row in ((e.v0, gp[0]), (e.v1, gp[-1])):
+            i = dofs.vindex[v]
+            g[2 * i:2 * i + 2] += row
+    return total, g
+
+
+def test_packed_gradient_matches_per_edge_reference(torus, sphere, dumbbell, rng):
+    north = sphere_latitude(sphere, 1.0, samples=40, chart="north")
+    south = sphere_latitude(sphere, 2.2, samples=30, chart="south")
+    two_charts = GammaNet(WeightedMultigraph(["n", "s"], [Edge("n", "n"), Edge("s", "s")]),
+                          {"n": north.vertex_points["v"], "s": south.vertex_points["v"]},
+                          north.edge_paths + south.edge_paths)
+    conformal = ConformalFamily(torus, [constant_field(1.0)]).at([0.3])
+    cases = [(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=16).reversed_edge(1), torus),
+             (torus_geodesic((2, 1), samples=40, mult=2), torus),
+             (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell),
+             (torus_theta_net([(1, 0), (0, 1), (0, 0)], samples=12), conformal),
+             (two_charts, sphere)]
+    for net, metric in cases:
+        dofs = _Dofs(net, metric)
+        x = dofs.pack() + 1e-3 * rng.standard_normal(dofs.size)
+        L, g = _length_and_dof_grad(dofs, metric, x)
+        L_ref, g_ref = _per_edge_length_and_dof_grad(dofs, metric, x)
+        assert abs(L - L_ref) <= 1e-14 * L_ref
+        assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+    assert [c for c, _ in _Dofs(two_charts, sphere).chart_segments] == ["north", "south"]
+
+
+def test_lbfgs_reaches_minimiser():
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = (Q * np.logspace(0, 4, 30)) @ Q.T          # condition number 1e4
+    x_star = rng.standard_normal(30)
+    run = _lbfgs(lambda x: (0.5 * (x - x_star) @ A @ (x - x_star), A @ (x - x_star)),
+                 np.zeros(30), 2000, 0.0, 1e-9)
+    assert run.message == "gradient below gtol"
+    assert np.max(np.abs(run.x - x_star)) <= 1e-8
+
+    def rosenbrock(x):
+        a, b = x
+        return ((1 - a)**2 + 100 * (b - a * a)**2,
+                np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]))
+
+    run = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), 500, 0.0, 1e-10)
+    assert run.message == "gradient below gtol"
+    assert np.max(np.abs(run.x - 1.0)) <= 1e-8
+    assert run.n_grad >= run.nit + 1
+
+
+def test_solve_trace_records_every_phase(torus):
+    res = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)]), torus)
+    phases = [entry["phase"] for entry in res.trace]
+    assert set(phases) <= {"lbfgs", "lbfgs-polish", "newton"} and phases[0] == "lbfgs"
+    assert sum(e["nit"] for e in res.trace if e["phase"] != "newton") == res.iterations
+    for entry in res.trace:
+        assert set(entry) == {"phase", "nit", "n_grad", "grad_norm", "length", "seconds"}
+        assert entry["n_grad"] >= entry["nit"] + 1 and entry["seconds"] >= 0.0
+    assert res.trace[-1]["grad_norm"] == pytest.approx(res.report.total_first_variation_norm,
+                                                       abs=1e-12)
+    assert res.message in ("gradient below gtol", "reduction below ftol",
+                           "line search failed", "iteration limit")
+
+
+def test_net_on_foreign_charts_is_domain_error(sphere):
+    # a torus net on the sphere: every metric ignores its chart argument,
+    # so this once ran 2,500 iterations and returned an edge residual of 41
+    net = torus_theta_net([(1, 0), (0, 1), (-1, -1)])
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="'main'"):
+        solve_stationary(net, sphere)
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(DomainError):
+        stationarity_residual(net, sphere)
+
+
+def test_solve_loads_no_scipy_optimize():
+    code = ("import sys, geonets as gn\n"
+            "res = gn.solve_stationary(gn.torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=16),"
+            " gn.FlatTorus())\n"
+            "assert res.converged\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectrum_sphere_equator(sphere):
@@ -155,7 +262,8 @@ def test_index_one_circle_on_conformal_torus(torus):
 
 
 def _polished(net, metric):
-    out = _newton_polish(net, metric, tol=1e-10)
+    dofs = _Dofs(net, metric)
+    out = dofs.unpack(_newton_polish(dofs, metric, dofs.pack(), tol=1e-10).x)
     assert length_gradient_norm(out, metric) <= 1e-8
     return out
 
