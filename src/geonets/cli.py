@@ -94,6 +94,7 @@ def cmd_solve_net(args, cfg):
     (out / "net.json").write_text(result.net.to_json())
     record = {
         "converged": result.converged,
+        "status": result.status,
         "iterations": result.iterations,
         "length": result.length,
         "edge_residual": result.report.edge_residual,

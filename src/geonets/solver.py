@@ -1,22 +1,24 @@
 """Stationary nets: residuals, length minimization, spectra, certificates.
 
-The solver minimizes total (multiplicity-weighted) length over vertex
-positions and edge interior samples with an analytic gradient and
-L-BFGS line search; stationarity is reported as a discrete geodesic
-curvature per edge, a weighted inward-tangent balance per vertex and the
-l2 norm of the full length gradient.  One sparse central-difference
-Hessian of the discrete length serves the Newton polish, the branch
-tracker and the second-variation spectrum.
+The solver minimizes total (multiplicity-weighted) length by trust-region
+Newton steps (Steihaug's truncated CG) on reduced dofs: two per vertex,
+dragging the samples of its edges with hat weights, and one per edge
+interior sample along its chord normal.  That Hessian comes from
+coloured central differences of the analytic gradient; every accepted
+step is followed by uniform-arclength resampling of each edge.
+Stationarity is reported as a discrete geodesic curvature per edge, a
+weighted inward-tangent balance per vertex and the l2 norm of the full
+length gradient.  One sparse central-difference Hessian of the full
+discrete length serves the branch tracker and the second-variation
+spectrum.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ class SolveResult:
     length: float
     trace: list = field(default_factory=list)
     message: str = ""
+    status: str = ""            # converged, collapsed, stalled or max_iter
 
 
 @dataclass
@@ -157,6 +160,92 @@ class _Dofs:
                         cols += [2 * p + k] * 2
                 groups.append((2 * points + k, np.asarray(rows), np.asarray(cols)))
         return groups
+
+    @cached_property
+    def hat(self):
+        """(interior point, vertex) weights of the vertex drag: interior
+        sample k of the m on an edge follows v0 by 1 - k/(m+1), v1 by k/(m+1)."""
+        W, ofs = np.zeros((self.size // 2 - self.nv, self.nv)), 0
+        for e, m in zip(self.net.graph.edges, self.interior_counts):
+            t = np.arange(1, m + 1) / (m + 1)
+            W[ofs:ofs + m, self.vindex[e.v0]] += 1.0 - t
+            W[ofs:ofs + m, self.vindex[e.v1]] += t
+            ofs += m
+        return W
+
+    @cached_property
+    def chain_pairs(self):
+        """(row, column) interior-sample indices at most one apart on an edge."""
+        a, b = self.pidx[self.seg] - self.nv, self.pidx[self.seg + 1] - self.nv
+        inner, same = (a >= 0) & (b >= 0), np.arange(self.size // 2 - self.nv)
+        return np.concatenate([same, a[inner], b[inner]]), np.concatenate([same, b[inner], a[inner]])
+
+    def resample(self, x):
+        """``x`` with every edge's interior samples moved to uniform chart
+        arclength along its polyline; vertices stay."""
+        pts, y = self.samples(x), x.reshape(-1, 2).copy()
+        for a, b in zip([0, *self.bounds], [*self.bounds, len(self.pidx)]):
+            s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts[a:b], axis=0), axis=1))])
+            t = np.linspace(0.0, s[-1], b - a)[1:-1]
+            y[self.pidx[a + 1:b - 1]] = np.stack([np.interp(t, s, pts[a:b, k]) for k in (0, 1)], -1)
+        return y.ravel()
+
+
+def _chord_normals(dofs: _Dofs, x):
+    """Chart-coordinate unit normal of the chord through each interior
+    sample's two chain neighbours, in dof order."""
+    pts, inner = dofs.samples(x), np.flatnonzero(dofs.pidx >= dofs.nv)
+    t = pts[inner + 1] - pts[inner - 1]
+    normals = np.stack([-t[:, 1], t[:, 0]], axis=-1)
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+class _NormalDofs:
+    """Reduced dofs at ``x``: two per vertex, each moving the vertex and
+    dragging the interior samples of its edges by :attr:`_Dofs.hat`, then
+    one per interior sample along its chord normal.  ``expand`` is the
+    linear map N to full dofs, ``restrict`` its transpose."""
+
+    def __init__(self, dofs: _Dofs, x):
+        self.dofs, self.x, self.normals = dofs, x, _chord_normals(dofs, x)
+        self.nv2, self.size = 2 * dofs.nv, 2 * dofs.nv + len(self.normals)
+
+    def expand(self, y):
+        inner = self.dofs.hat @ y[:self.nv2].reshape(-1, 2) + self.normals * y[self.nv2:, None]
+        return np.concatenate([y[:self.nv2], inner.ravel()])
+
+    def restrict(self, g):
+        inner = g[self.nv2:].reshape(-1, 2)
+        return np.concatenate([g[:self.nv2] + (self.dofs.hat.T @ inner).ravel(),
+                               np.einsum("ij,ij->i", self.normals, inner)])
+
+    def hessian(self, grad):
+        """v -> N^T H N v on COO triplets of the symmetrised central
+        differences of ``grad`` at _FD_STEP: one difference per vertex
+        column and one per interior index mod 3 for the normals (samples
+        3 apart on a chain touch disjoint normal rows); their vertex rows
+        come from the vertex columns by symmetry."""
+        n, nv2 = self.size, self.nv2
+
+        def column(y):
+            dx = _FD_STEP * self.expand(y)
+            return self.restrict(grad(self.x + dx) - grad(self.x - dx)) / (2 * _FD_STEP)
+
+        rows, cols, vals = [], [], []
+        for j, unit in enumerate(np.eye(nv2, n)):
+            d = column(unit)
+            rows += [np.arange(n), np.full(n - nv2, j)]
+            cols += [np.full(n, j), np.arange(nv2, n)]
+            vals += [d, d[nv2:]]
+        r, c = self.dofs.chain_pairs
+        for k in range(3):
+            d, sel = column(np.concatenate([np.zeros(nv2), np.arange(n - nv2) % 3 == k])), c % 3 == k
+            rows.append(nv2 + r[sel])
+            cols.append(nv2 + c[sel])
+            vals.append(d[nv2 + r[sel]])
+        R, C, V = np.concatenate(rows + cols), np.concatenate(cols + rows), np.concatenate(vals + vals)
+        V *= 0.5
+        return lambda v: np.bincount(R, V * v[C], n)
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
@@ -276,137 +365,94 @@ def stationarity_residual(net: GammaNet, metric: Surface) -> StationarityReport:
 # solver
 # ---------------------------------------------------------------------------
 
-class _Run(NamedTuple):
-    """End state of one optimizer phase."""
-    x: np.ndarray
-    f: float
-    g: np.ndarray
-    nit: int
-    n_grad: int
-    message: str = ""
+#: trust-region ratio bounds (Nocedal-Wright, Algorithm 4.1); below
+#: _ROUNDING * length the predicted reduction is rounding noise
+_SHRINK_BELOW, _GROW_ABOVE, _ROUNDING = 0.25, 0.75, 1e-12
+_MESSAGES = {"converged": "gradient below tolerance", "stalled": "trust radius at rounding level",
+             "collapsed": "an edge collapsed below the length floor", "max_iter": "iteration limit"}
 
 
-#: L-BFGS memory, Armijo constant and trial steps per line search
-_LBFGS_MEMORY, _ARMIJO, _MAX_BACKTRACKS = 10, 1e-4, 30
-
-
-def _lbfgs(fg, x, maxiter, ftol, gtol):
-    """Limited-memory BFGS (two-loop recursion) with a backtracking Armijo
-    search whose steps shrink by safeguarded quadratic interpolation.
-
-    ``fg(x)`` returns the value and the gradient.  Stops as L-BFGS-B does:
-    max |g| <= gtol, or a relative reduction (f - f+) / max(|f|, |f+|, 1)
-    <= ftol; otherwise when a line search fails or after ``maxiter``
-    iterations.  Curvature pairs with s.y <= 0 are not stored.
-    """
-    f, g = fg(x)
-    n_grad, pairs = 1, deque(maxlen=_LBFGS_MEMORY)
-    for nit in range(maxiter):
-        if np.max(np.abs(g)) <= gtol:
-            return _Run(x, f, g, nit, n_grad, "gradient below gtol")
-        d, alphas = -g, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
-            d = d - alphas[-1] * y
-        if pairs:
-            s, y, rho = pairs[-1]
-            d = d / (rho * (y @ y))
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - rho * (y @ d)) * s
-        slope = g @ d
-        if slope >= 0.0:            # rounding lost descent: restart from -g
-            pairs.clear()
-            d, slope = -g, -(g @ g)
-        # a fresh memory moves x by at most one unit on its first step
-        step = 1.0 if pairs else min(1.0, 1.0 / np.linalg.norm(d))
-        for _ in range(_MAX_BACKTRACKS):
-            f_new, g_new = fg(x + step * d)
-            n_grad += 1
-            if f_new <= f + _ARMIJO * step * slope:
-                break
-            # minimiser of the quadratic through f, slope and f_new, safeguarded
-            quad = -slope * step**2 / (2.0 * (f_new - f - slope * step))
-            step = min(max(0.1 * step, quad), 0.5 * step)
-        else:
-            return _Run(x, f, g, nit, n_grad, "line search failed")
-        s, y = step * d, g_new - g
-        if s @ y > 0.0:
-            pairs.append((s, y, 1.0 / (s @ y)))
-        x, f_old, f, g = x + s, f, f_new, g_new
-        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
-            return _Run(x, f, g, nit + 1, n_grad, "reduction below ftol")
-    return _Run(x, f, g, maxiter, n_grad, "iteration limit")
-
-
-def _trace_entry(phase, run: _Run, t0):
-    return {"phase": phase, "nit": run.nit, "n_grad": run.n_grad,
-            "grad_norm": float(np.linalg.norm(run.g)), "length": float(run.f),
-            "seconds": time.perf_counter() - t0}
+def _steihaug(matvec, g, radius, tol):
+    """Truncated conjugate gradients on the model g.p + p.Bp / 2 within
+    |p| <= radius (Steihaug 1983; Nocedal-Wright, Algorithm 7.2): stops at
+    residual ``tol``, or on the boundary at the radius or on meeting
+    negative curvature."""
+    p, r, d = np.zeros_like(g), g.copy(), -g
+    rr = r @ r
+    for _ in range(g.size):
+        if rr <= tol * tol:
+            break
+        Bd = matvec(d)
+        curv = d @ Bd
+        if curv <= 0.0 or (p + rr / curv * d) @ (p + rr / curv * d) >= radius * radius:
+            # the root tau >= 0 of |p + tau d| = radius
+            a, b, c = d @ d, p @ d, p @ p - radius * radius
+            return p + (-b + np.sqrt(b * b - a * c)) / a * d
+        p, r, rr_old = p + rr / curv * d, r + rr / curv * Bd, rr
+        rr = r @ r
+        d = -r + rr / rr_old * d
+    return p
 
 
 def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
                      length_floor=None, require_good=True) -> SolveResult:
-    """Minimize total length from an initial net.
-
-    Deterministic: L-BFGS with the analytic discrete-length gradient,
-    then a Newton polish.  ``trace`` records one entry per phase.  When
-    an edge collapses below the floor (default 1e-4 times the metric's
-    injectivity lower bound) the result is flagged as not converged with
-    a collapse message; a degenerate *initial* net raises
+    """Minimize total length from an initial net by trust-region Newton
+    steps on :class:`_NormalDofs`, until the length gradient is at most
+    ``0.1 * tol``.  ``status`` says why it stopped and ``trace`` holds one
+    entry.  When an edge collapses below the floor (default 1e-4 times
+    the metric's injectivity lower bound) the result is flagged as not
+    converged with a collapse message; a degenerate *initial* net raises
     DegenerateNetError, and a net on charts the metric lacks DomainError.
     """
     if require_good and not all(init.graph.is_good()):
         raise ValueError("initial graph is not good on every component")
     if length_floor is None:
         length_floor = 1e-4 * metric.injectivity_lower_bound
-    _Dofs(init, metric)             # DomainError on a chart the metric lacks
+    dofs, t0 = _Dofs(init, metric), time.perf_counter()  # DomainError on a foreign chart
     if init.min_edge_length(metric) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
 
-    net, trace, total_iters, message = init.copy(), [], 0, ""
-    samples = [pts.shape[0] for _, pts in net.edge_paths]
-    # Length is reparametrization-invariant, so pure descent lets samples
-    # drift tangentially and bunch up; interleave short L-BFGS rounds
-    # with arclength-uniform resampling to keep the polylines immersed.
-    while total_iters < max_iter:
-        dofs, t0 = _Dofs(net, metric), time.perf_counter()
-        run = _lbfgs(partial(_length_and_dof_grad, dofs, metric), dofs.pack(),
-                     min(200, max_iter - total_iters), 1e-16, 1e-14)
-        trace.append(_trace_entry("lbfgs", run, t0))
-        total_iters, message = total_iters + run.nit, run.message
-        net = dofs.unpack(run.x)
-        if net.min_edge_length(metric) <= length_floor:
-            report = StationarityReport(*[float("inf")] * 3)
-            return SolveResult(net=net, report=report, converged=False,
-                               iterations=total_iters, length=net.length(metric),
-                               trace=trace, message="an edge collapsed below the length floor")
-        net = net.resample(metric, samples)
-        if length_gradient_norm(net, metric) <= tol:
+    def fg(z):
+        return _length_and_dof_grad(dofs, metric, z)
+
+    x = dofs.pack()
+    (f, g), n_grad, nit, radius, frame, status = fg(x), 1, 0, 1.0, None, "max_iter"
+    while nit < max_iter and status == "max_iter":
+        if np.linalg.norm(g) <= 0.1 * tol:
+            status = "converged"
             break
-        if run.nit <= 1 and len(trace) >= 2 and abs(trace[-2]["length"] - run.f) < 1e-15:
-            break
-    # final polish without resampling: from a near-stationary state the
-    # tangential drift is negligible and L-BFGS can reach the tolerance
-    if length_gradient_norm(net, metric) > tol:
-        dofs, t0 = _Dofs(net, metric), time.perf_counter()
-        run = _lbfgs(partial(_length_and_dof_grad, dofs, metric), dofs.pack(), 500, 1e-18, 1e-14)
-        trace.append(_trace_entry("lbfgs-polish", run, t0))
-        total_iters, message = total_iters + run.nit, run.message
-        polished = dofs.unpack(run.x)
-        if polished.min_edge_length(metric) > length_floor:
-            net = polished
-    # Newton polish on the gradient: line-search methods bottom out when
-    # length changes fall below machine epsilon (gradient ~1e-7); a few
-    # pseudo-inverse Newton steps on grad = 0 reach the 1e-8 regime.
-    if length_gradient_norm(net, metric) > tol:
-        dofs, t0 = _Dofs(net, metric), time.perf_counter()
-        run = _newton_polish(dofs, metric, dofs.pack(), tol)
-        trace.append(_trace_entry("newton", run, t0))
-        net = dofs.unpack(run.x)
-    report = stationarity_residual(net, metric)
-    return SolveResult(net=net, report=report, converged=report.total_first_variation_norm <= tol,
-                       iterations=total_iters, length=net.length(metric),
-                       trace=trace, message=message)
+        if frame is None:
+            frame = _NormalDofs(dofs, x)
+            hess, gr = frame.hessian(lambda z: fg(z)[1]), frame.restrict(g)
+            n_grad += 2 * (frame.nv2 + 3)
+        gnorm = np.linalg.norm(gr)
+        p = _steihaug(hess, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
+        pred, (f_new, g_new) = -(gr @ p + 0.5 * p @ hess(p)), fg(x + frame.expand(p))
+        n_grad, nit = n_grad + 1, nit + 1
+        rho = ((f - f_new) / pred if pred > _ROUNDING * f
+               else float(np.linalg.norm(g_new) < np.linalg.norm(g)))
+        if rho < _SHRINK_BELOW:
+            radius = 0.25 * np.linalg.norm(p)
+        elif rho > _GROW_ABOVE and np.linalg.norm(p) >= 0.99 * radius:
+            radius *= 2.0
+        if rho > 0.0:
+            x, frame = x + frame.expand(p), None
+            if dofs.unpack(x).min_edge_length(metric) <= length_floor:
+                status = "collapsed"
+            else:
+                x = dofs.resample(x)
+                (f, g), n_grad = fg(x), n_grad + 1
+        elif radius <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
+            status = "stalled"
+
+    net = dofs.unpack(x)
+    report = (StationarityReport(*[float("inf")] * 3) if status == "collapsed"
+              else stationarity_residual(net, metric))
+    status = "converged" if report.total_first_variation_norm <= tol else status
+    trace = [{"phase": "trust-region", "nit": nit, "n_grad": n_grad, "grad_norm": float(np.linalg.norm(g)),
+              "length": float(f), "seconds": time.perf_counter() - t0}]
+    return SolveResult(net=net, report=report, converged=status == "converged", iterations=nit,
+                       length=net.length(metric), trace=trace, message=_MESSAGES[status], status=status)
 
 
 def stationary_tracker(init: GammaNet, metric0: Surface):
@@ -435,31 +481,6 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     return track
 
 
-def _newton_polish(dofs: _Dofs, metric: Surface, x, tol, max_steps=6) -> _Run:
-    """Damped Newton iteration on the length gradient from ``x``.
-
-    The Hessian (coloured central differences of the analytic gradient)
-    is singular along reparametrization and symmetry directions; the
-    pseudo-inverse step ignores those and corrects only the directions
-    that carry gradient.
-    """
-    f, g = _length_and_dof_grad(dofs, metric, x)
-    n_grad, nit = 1, 0
-    while nit < max_steps and np.linalg.norm(g) > 0.1 * tol:
-        step = -_pseudo_inverse(_length_hessian(dofs, metric, x)) @ g
-        n_grad += 2 * len(dofs.hessian_groups)
-        for scale in 0.5 ** np.arange(10):         # 1 down to 2^-9
-            f_new, g_new = _length_and_dof_grad(dofs, metric, x + scale * step)
-            n_grad += 1
-            if np.linalg.norm(g_new) < np.linalg.norm(g):
-                x, f, g = x + scale * step, f_new, g_new
-                break
-        else:
-            break
-        nit += 1
-    return _Run(x, f, g, nit, n_grad)
-
-
 # ---------------------------------------------------------------------------
 # second variation
 # ---------------------------------------------------------------------------
@@ -481,10 +502,7 @@ def second_variation_spectrum(net: GammaNet, metric: Surface, k=None,
                          f"(gradient norm {resid:.3e} > {residual_tol:g})")
 
     dofs = _Dofs(net, metric)
-    pts, inner = dofs.samples(dofs.pack()), np.flatnonzero(dofs.pidx >= dofs.nv)
-    t = pts[inner + 1] - pts[inner - 1]         # interior samples in dof order
-    normals = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = _chord_normals(dofs, dofs.pack())
 
     nv2, ns = 2 * dofs.nv, normals.shape[0]
     N = np.zeros((dofs.size, nv2 + ns))

@@ -17,7 +17,8 @@ def test_solve_net_outputs(tmp_path):
     assert report["length"] == pytest.approx(3.3460652149512313, abs=1e-9)
     assert (tmp_path / "net.json").exists()
     assert "config_hash" in report["meta"]
-    assert report["trace"][0]["phase"] == "lbfgs"
+    assert report["trace"][0]["phase"] == "trust-region"
+    assert report["status"] == "converged"
 
 
 def test_solve_net_geodesic_config(tmp_path):
