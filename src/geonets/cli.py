@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import sys
@@ -44,18 +45,12 @@ def _config_hash(cfg):
 
 
 def _write_csv(path, meta, columns, rows):
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         for k, v in meta.items():
             fh.write(f"# {k} = {v}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([row[c] for c in columns] for row in rows)
 
 
 def _meta(args, cfg, **extra):
@@ -169,8 +164,7 @@ def cmd_partition(args, cfg):
     pts = rng.uniform(chart.lo, chart.hi, size=(2000, 2))
     total = np.sum(bumps.psi_values(chart.name, pts), axis=0)
     norm_err = float(np.max(np.abs(total - 1.0)))
-    rows = [{"k": k, "descriptor": json.dumps(
-        {kk: vv for kk, vv in r.items() if kk != "center"}).replace(",", ";"),
+    rows = [{"k": k, "descriptor": json.dumps({kk: vv for kk, vv in r.items() if kk != "center"}),
         "center_chart": r["center"][0],
         "center_x": float(r["center"][1][0]), "center_y": float(r["center"][1][1])}
         for k, r in enumerate(bumps.regions)]

@@ -1,16 +1,15 @@
 """Stationary nets: residuals, length minimization, spectra, certificates.
 
+Everything here works on reduced dofs (:class:`_NormalDofs`): two per
+vertex, then one per edge interior sample along its chord normal, with
+one Hessian from coloured central differences of the analytic gradient.
 The solver minimizes total (multiplicity-weighted) length by trust-region
-Newton steps (Steihaug's truncated CG) on reduced dofs: two per vertex,
-dragging the samples of its edges with hat weights, and one per edge
-interior sample along its chord normal.  That Hessian comes from
-coloured central differences of the analytic gradient; every accepted
-step is followed by uniform-arclength resampling of each edge.
-Stationarity is reported as a discrete geodesic curvature per edge, a
-weighted inward-tangent balance per vertex and the l2 norm of the full
-length gradient.  One sparse central-difference Hessian of the full
-discrete length serves the branch tracker and the second-variation
-spectrum.
+Newton steps (Steihaug's truncated CG) whose vertex dofs drag the samples
+of their edges by hat weights, resampling each edge to uniform arclength
+after every accepted step; the second-variation spectrum and the branch
+tracker move vertices alone.  Stationarity is reported as a discrete
+geodesic curvature per edge, a weighted inward-tangent balance per vertex
+and the l2 norm of the full length gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
@@ -131,37 +129,6 @@ class _Dofs:
         return GammaNet(self.net.graph, verts, list(paths))
 
     @cached_property
-    def hessian_groups(self):
-        """Column groups of a distance-2 colouring of the sample chains.
-
-        A point's gradient rows depend only on the point and its
-        neighbours along the chain v0, samples, v1 of each edge.  Points
-        at least 3 apart therefore touch disjoint rows and share one
-        central difference.  Per group: the perturbed dofs and the
-        (row, column) pairs that difference fills.
-        """
-        nbrs = [set() for _ in range(self.size // 2)]
-        for a, b in zip(self.pidx[self.seg], self.pidx[self.seg + 1]):
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        colour = []
-        for p, near in enumerate(nbrs):
-            taken = {colour[r] for q in near for r in (q, *nbrs[q]) if r < p}
-            colour.append(next(c for c in count() if c not in taken))
-        colour = np.asarray(colour)
-        groups = []
-        for c in range(int(colour.max()) + 1):
-            points = np.flatnonzero(colour == c)
-            for k in (0, 1):
-                rows, cols = [], []
-                for p in points:
-                    for q in nbrs[p] | {p}:
-                        rows += [2 * q, 2 * q + 1]
-                        cols += [2 * p + k] * 2
-                groups.append((2 * points + k, np.asarray(rows), np.asarray(cols)))
-        return groups
-
-    @cached_property
     def hat(self):
         """(interior point, vertex) weights of the vertex drag: interior
         sample k of the m on an edge follows v0 by 1 - k/(m+1), v1 by k/(m+1)."""
@@ -201,30 +168,32 @@ def _chord_normals(dofs: _Dofs, x):
 
 
 class _NormalDofs:
-    """Reduced dofs at ``x``: two per vertex, each moving the vertex and
-    dragging the interior samples of its edges by :attr:`_Dofs.hat`, then
-    one per interior sample along its chord normal.  ``expand`` is the
+    """Reduced dofs at ``x``: two per vertex, then one per interior sample
+    along its chord normal.  With ``drag`` a vertex dof also drags the
+    interior samples of its edges by :attr:`_Dofs.hat`; without it the
+    vertex moves alone and N has orthonormal columns.  ``expand`` is the
     linear map N to full dofs, ``restrict`` its transpose."""
 
-    def __init__(self, dofs: _Dofs, x):
+    def __init__(self, dofs: _Dofs, x, drag):
         self.dofs, self.x, self.normals = dofs, x, _chord_normals(dofs, x)
         self.nv2, self.size = 2 * dofs.nv, 2 * dofs.nv + len(self.normals)
+        self.drag = dofs.hat if drag else np.zeros((len(self.normals), dofs.nv))
 
     def expand(self, y):
-        inner = self.dofs.hat @ y[:self.nv2].reshape(-1, 2) + self.normals * y[self.nv2:, None]
+        inner = self.drag @ y[:self.nv2].reshape(-1, 2) + self.normals * y[self.nv2:, None]
         return np.concatenate([y[:self.nv2], inner.ravel()])
 
     def restrict(self, g):
         inner = g[self.nv2:].reshape(-1, 2)
-        return np.concatenate([g[:self.nv2] + (self.dofs.hat.T @ inner).ravel(),
+        return np.concatenate([g[:self.nv2] + (self.drag.T @ inner).ravel(),
                                np.einsum("ij,ij->i", self.normals, inner)])
 
     def hessian(self, grad):
-        """v -> N^T H N v on COO triplets of the symmetrised central
-        differences of ``grad`` at _FD_STEP: one difference per vertex
-        column and one per interior index mod 3 for the normals (samples
-        3 apart on a chain touch disjoint normal rows); their vertex rows
-        come from the vertex columns by symmetry."""
+        """COO triplets (rows, columns, values) of N^T H N, the
+        symmetrised central differences of ``grad`` at _FD_STEP: one
+        difference per vertex column and one per interior index mod 3 for
+        the normals (samples 3 apart on a chain touch disjoint normal
+        rows); their vertex rows come from the vertex columns by symmetry."""
         n, nv2 = self.size, self.nv2
 
         def column(y):
@@ -243,9 +212,8 @@ class _NormalDofs:
             rows.append(nv2 + r[sel])
             cols.append(nv2 + c[sel])
             vals.append(d[nv2 + r[sel]])
-        R, C, V = np.concatenate(rows + cols), np.concatenate(cols + rows), np.concatenate(vals + vals)
-        V *= 0.5
-        return lambda v: np.bincount(R, V * v[C], n)
+        return (np.concatenate(rows + cols), np.concatenate(cols + rows),
+                0.5 * np.concatenate(vals + vals))
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
@@ -274,23 +242,10 @@ def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
 _FD_STEP = 1e-6
 #: relative eigenvalue cutoff of the Newton pseudo-inverse
 _PINV_RCOND = 1e-7
-
-
-def _length_hessian(dofs: _Dofs, metric: Surface, x):
-    """Symmetrised central-difference Hessian of the discrete length at ``x``.
-
-    Columns of one colour group are perturbed together (two gradient
-    evaluations per group, see :attr:`_Dofs.hessian_groups`); each entry
-    equals the one-column central difference at the same step.
-    """
-    H = np.zeros((dofs.size, dofs.size))
-    for cols, rows, at in dofs.hessian_groups:
-        step = np.zeros(dofs.size)
-        step[cols] = _FD_STEP
-        diff = (_length_and_dof_grad(dofs, metric, x + step)[1]
-                - _length_and_dof_grad(dofs, metric, x - step)[1]) / (2 * _FD_STEP)
-        H[rows, at] = diff[rows]
-    return 0.5 * (H + H.T)
+#: chord steps of the branch tracker and the step norm that ends them
+_TRACK_STEPS, _TRACK_TOL = 40, 1e-11
+#: the largest length gradient norm a net may have for its spectrum
+_SPECTRUM_RESIDUAL = 1e-6
 
 
 def _pseudo_inverse(H):
@@ -298,6 +253,14 @@ def _pseudo_inverse(H):
     lam, V = np.linalg.eigh(H)
     keep = np.abs(lam) > _PINV_RCOND * np.max(np.abs(lam))
     return (V[:, keep] / lam[keep]) @ V[:, keep].T
+
+
+def _free_vertex_hessian(dofs: _Dofs, metric: Surface, x):
+    """The free-vertex frame at ``x`` and its dense reduced length Hessian."""
+    frame = _NormalDofs(dofs, x, drag=False)
+    R, C, V = frame.hessian(lambda z: _length_and_dof_grad(dofs, metric, z)[1])
+    n = frame.size
+    return frame, np.bincount(R * n + C, V, n * n).reshape(n, n)
 
 
 def length_gradient_norm(net: GammaNet, metric: Surface):
@@ -415,6 +378,10 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     def fg(z):
         return _length_and_dof_grad(dofs, metric, z)
 
+    def hess(v):
+        # v -> N^T H N v on the triplets of the current frame
+        return np.bincount(R, V * v[C], v.size)
+
     x = dofs.pack()
     (f, g), n_grad, nit, radius, frame, status = fg(x), 1, 0, 1.0, None, "max_iter"
     while nit < max_iter and status == "max_iter":
@@ -422,9 +389,11 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
             status = "converged"
             break
         if frame is None:
-            frame = _NormalDofs(dofs, x)
-            hess, gr = frame.hessian(lambda z: fg(z)[1]), frame.restrict(g)
-            n_grad += 2 * (frame.nv2 + 3)
+            # vertices drag their edges: moving a vertex alone kinks the
+            # segments next to it, and long steps then fold the polyline
+            frame = _NormalDofs(dofs, x, drag=True)
+            R, C, V = frame.hessian(lambda z: fg(z)[1])
+            gr, n_grad = frame.restrict(g), n_grad + 2 * (frame.nv2 + 3)
         gnorm = np.linalg.norm(gr)
         p = _steihaug(hess, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
         pred, (f_new, g_new) = -(gr @ p + 0.5 * p @ hess(p)), fg(x + frame.expand(p))
@@ -458,25 +427,28 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
 def stationary_tracker(init: GammaNet, metric0: Surface):
     """Branch-tracking continuation for perturbed metrics.
 
-    Returns ``track(metric)`` which chord-Newton-iterates the length
-    gradient to zero starting from ``init``, reusing the pseudo-inverted
-    Hessian computed once at ``metric0``.  The pseudo-inverse suppresses
-    motion along the near-null (reparametrization / symmetry) valley, so
-    the result follows the stationary branch through ``init`` instead of
-    sliding to a distant minimizer of the degenerate family.
+    Returns ``track(metric)`` which chord-Newton-iterates the reduced
+    length gradient to zero from ``init`` on its free-vertex reduced dofs,
+    reusing the pseudo-inverse of their Hessian computed once at
+    ``metric0``.  The pseudo-inverse suppresses motion along the
+    near-null (symmetry) valley, so the result follows the stationary
+    branch through ``init`` instead of sliding to a distant minimizer of
+    the degenerate family.  ``track`` raises ValueError when the chord
+    steps have not settled within _TRACK_STEPS.
     """
     dofs = _Dofs(init, metric0)
-    x0 = dofs.pack()
-    P = _pseudo_inverse(_length_hessian(dofs, metric0, x0))
+    frame, H = _free_vertex_hessian(dofs, metric0, dofs.pack())
+    P = _pseudo_inverse(H)
 
-    def track(metric, max_steps=40, tol=1e-11):
-        x = x0.copy()
-        for _ in range(max_steps):
-            step = -P @ _length_and_dof_grad(dofs, metric, x)[1]
-            x = x + step
-            if np.linalg.norm(step) <= tol:
-                break
-        return dofs.unpack(x)
+    def track(metric):
+        y = np.zeros(frame.size)
+        for _ in range(_TRACK_STEPS):
+            step = -P @ frame.restrict(_length_and_dof_grad(dofs, metric, frame.x + frame.expand(y))[1])
+            y = y + step
+            if np.linalg.norm(step) <= _TRACK_TOL:
+                return dofs.unpack(frame.x + frame.expand(y))
+        raise ValueError(f"branch tracking did not converge in {_TRACK_STEPS} chord steps "
+                         f"(last step norm {np.linalg.norm(step):.3e})")
 
     return track
 
@@ -485,37 +457,22 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
 # second variation
 # ---------------------------------------------------------------------------
 
-def second_variation_spectrum(net: GammaNet, metric: Surface, k=None,
-                              residual_tol=1e-6):
-    """Eigenvalues of the discretized length Hessian.
+def second_variation_spectrum(net: GammaNet, metric: Surface):
+    """Ascending eigenvalues of the discretized length Hessian.
 
-    Edge interior samples move along their chart-coordinate unit normals
-    (one dof each), vertices move freely (two dofs); this normal-only
-    parametrization carries no reparametrization null directions, so
-    every numerical zero mode corresponds to a Jacobi field.  The matrix
-    is N^T H N with H the full length Hessian and N that fixed linear
-    dof map.  Flat chart-coordinate inner product throughout.
+    The matrix is N^T H N on the free-vertex reduced dofs: vertices move
+    alone (two dofs each), edge interior samples along their chart
+    unit chord normals (one dof each), so N has orthonormal columns.
+    This normal-only parametrization carries no reparametrization null
+    directions, so every numerical zero mode corresponds to a Jacobi
+    field.  Flat chart-coordinate inner product throughout.
     """
     resid = length_gradient_norm(net, metric)
-    if resid > residual_tol:
+    if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
-                         f"(gradient norm {resid:.3e} > {residual_tol:g})")
-
+                         f"(gradient norm {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
     dofs = _Dofs(net, metric)
-    normals = _chord_normals(dofs, dofs.pack())
-
-    nv2, ns = 2 * dofs.nv, normals.shape[0]
-    N = np.zeros((dofs.size, nv2 + ns))
-    N[:nv2, :nv2] = np.eye(nv2)
-    i = np.arange(ns)
-    N[nv2 + 2 * i, nv2 + i] = normals[:, 0]
-    N[nv2 + 2 * i + 1, nv2 + i] = normals[:, 1]
-    eig = np.linalg.eigvalsh(N.T @ _length_hessian(dofs, metric, dofs.pack()) @ N)
-    order = np.argsort(np.abs(eig))
-    eig = eig[order]
-    if k is not None:
-        eig = eig[:k]
-    return np.sort(eig)
+    return np.linalg.eigvalsh(_free_vertex_hessian(dofs, metric, dofs.pack())[1])
 
 
 def is_nondegenerate(net: GammaNet, metric: Surface, tol):

@@ -1,12 +1,13 @@
 """Command-line experiment runner."""
 
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from geonets import cli
+from geonets import FlatTorus, cli, variation
 
 
 def test_solve_net_outputs(tmp_path):
@@ -39,6 +40,28 @@ def test_partition_csv(tmp_path):
     assert any("K = 25" in l for l in meta)
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 25          # header plus one row per region
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        rows = list(reader)
+    for row in rows:
+        assert list(row) == reader.fieldnames and None not in row.values()
+    return rows
+
+
+def test_csv_fields_with_commas_stay_in_their_column(tmp_path):
+    # net names such as circle(1,0)@y=0 once spilled into the next column
+    assert cli.main(["check-variation", "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "variation_battery.csv")
+    names = [name for name, _ in variation._battery_nets(FlatTorus())]
+    assert list(dict.fromkeys(row["net"] for row in rows)) == names
+    assert {row["passed"] for row in rows} == {"True"}
+    assert cli.main(["partition", "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "partition.csv")
+    assert len(rows) == 25
+    assert all(json.loads(row["descriptor"])["kind"] == "torus-cell" for row in rows)
 
 
 def test_selftest_green(tmp_path):

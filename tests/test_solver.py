@@ -1,5 +1,6 @@
 """Stationarity solver, second variation and certificates."""
 
+import itertools
 import re
 import subprocess
 import sys
@@ -16,8 +17,8 @@ from geonets import (ConformalFamily, DomainError, ScalarField, closed_geodesic_
                      second_variation_spectrum, solve_stationary, sphere_latitude,
                      stationarity_residual, torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
-from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _length_hessian, _NormalDofs,
-                            _steihaug, length_gradient_norm, stationary_tracker)
+from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _NormalDofs, _steihaug,
+                            length_gradient_norm, stationary_tracker)
 
 
 # length of the stationary theta net spanned by shifts (1,0), (0,1), (-1,-1)
@@ -162,30 +163,10 @@ def _dense_length_hessian(dofs, metric, x):
     return 0.5 * (H + H.T)
 
 
-def test_coloured_hessian_equals_dense(torus, sphere, dumbbell):
-    from geonets import dumbbell_circle, sphere_latitude
-    shifts = [(1, 0), (0, 1), (-1, -1)]
-    # 2 samples per edge: no interior samples, the vertices couple directly
-    cases = [(torus_theta_net(shifts, samples=s), torus) for s in (16, 3, 2)]
-    cases += [(torus_geodesic((2, 1), samples=40, mult=2), torus),
-              (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell),
-              (sphere_latitude(sphere, 1.0, samples=40), sphere)]
-    for net, metric in cases:
-        dofs = _Dofs(net, metric)
-        x = dofs.pack()
-        diff = _dense_length_hessian(dofs, metric, x) - _length_hessian(dofs, metric, x)
-        assert np.max(np.abs(diff)) == 0.0
-    # the group count does not grow with resolution (16 and 64 samples per
-    # edge share a residue mod 3, which the greedy colouring depends on)
-    counts = [len(_Dofs(torus_theta_net(shifts, samples=s), torus).hessian_groups)
-              for s in (16, 64)]
-    assert counts[0] == counts[1] <= 10
-
-
-def _dense_normal_map(net):
-    """Reference N: vertex columns drag each interior sample k of the m on
-    an edge by 1 - k/(m+1) towards v0 and k/(m+1) towards v1; one column
-    per interior sample along its chord normal."""
+def _dense_normal_map(net, drag):
+    """Reference N: with ``drag``, vertex columns drag each interior sample
+    k of the m on an edge by 1 - k/(m+1) towards v0 and k/(m+1) towards
+    v1; one column per interior sample along its chord normal."""
     verts = list(net.vertex_points)
     nv2, ns = 2 * len(verts), sum(pts.shape[0] - 2 for _, pts in net.edge_paths)
     N = np.zeros((nv2 + 2 * ns, nv2 + ns))
@@ -197,8 +178,8 @@ def _dense_normal_map(net):
             row = nv2 + 2 * j
             for v, w in ((e.v0, 1 - k / (m + 1)), (e.v1, k / (m + 1))):
                 i = verts.index(v)
-                N[row, 2 * i] += w
-                N[row + 1, 2 * i + 1] += w
+                N[row, 2 * i] += w * drag
+                N[row + 1, 2 * i + 1] += w * drag
             t = pts[k + 1] - pts[k - 1]
             N[row:row + 2, nv2 + j] = np.array([-t[1], t[0]]) / np.hypot(*t)
             j += 1
@@ -206,23 +187,28 @@ def _dense_normal_map(net):
 
 
 def test_reduced_hessian_equals_dense(torus, sphere, dumbbell):
-    cases = [(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=16).reversed_edge(1), torus),
-             (torus_geodesic((2, 1), samples=40, mult=2), torus),
-             (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell),
-             (sphere_latitude(sphere, 1.0, samples=17), sphere),
-             (sphere_latitude(sphere, 1.0, samples=18), sphere)]
-    for net, metric in cases:
+    # 2 samples per edge: no interior samples, the vertices couple directly
+    cases = [(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=s).reversed_edge(1), torus)
+             for s in (16, 3, 2)]
+    cases += [(torus_geodesic((2, 1), samples=40, mult=2), torus),
+              (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell)]
+    cases += [(sphere_latitude(sphere, 1.0, samples=s), sphere) for s in (17, 18, 40)]
+    for (net, metric), drag in itertools.product(cases, (True, False)):
         dofs = _Dofs(net, metric)
-        x, N = dofs.pack(), _dense_normal_map(net)
-        frame = _NormalDofs(dofs, x)
-        y = np.linspace(-1.0, 1.0, frame.size)
-        for got, want in ((frame.expand(y), N @ y), (frame.restrict(x), N.T @ x)):
+        x, N = dofs.pack(), _dense_normal_map(net, drag)
+        frame = _NormalDofs(dofs, x, drag)
+        # x itself can be orthogonal to N: the (2,1) line runs through 0
+        y, v = np.linspace(-1.0, 1.0, frame.size), np.cos(np.arange(x.size))
+        for got, want in ((frame.expand(y), N @ y), (frame.restrict(v), N.T @ v)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
         def grad(z):
             return _length_and_dof_grad(dofs, metric, z)[1]
 
-        H = np.stack([frame.hessian(grad)(unit) for unit in np.eye(frame.size)], axis=1)
+        R, C, V = frame.hessian(grad)
+        H = np.zeros((frame.size, frame.size))
+        np.add.at(H, (R, C), V)
+        assert np.array_equal(H, H.T)
         # one central difference per column of N
         HN = np.stack([(grad(x + _FD_STEP * c) - grad(x - _FD_STEP * c)) / (2 * _FD_STEP)
                        for c in N.T], axis=1)
@@ -381,6 +367,38 @@ def _polished(net, metric):
     out = stationary_tracker(net, metric)(metric)
     assert length_gradient_norm(out, metric) <= 1e-8
     return out
+
+
+def test_tracker_raises_when_chord_steps_do_not_settle(torus):
+    # this iteration once ran its 40 chord steps, the last of norm 2.7,
+    # and returned the net it had reached
+    net = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=24), torus).net
+    psi = ScalarField(lambda c, x: np.cos(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1]))
+    family = ConformalFamily(torus, [psi], box_radius=1.0)
+    track = stationary_tracker(net, torus)
+    assert isinstance(track(family.at([0.1])), GammaNet)
+    with pytest.raises(ValueError, match="last step norm"):
+        track(family.at([0.3]))
+
+
+@pytest.fixture(scope="module")
+def solved_theta(torus):
+    return solve_stationary(torus_theta_net(FERMAT_TRIANGLES[0], samples=16), torus).net
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), edge=st.integers(0, 2),
+       klass=st.sampled_from([(1, 0), (1, 1), (2, 1)]), mult=st.integers(2, 4))
+def test_spectrum_is_invariant(torus, solved_theta, shift, edge, klass, mult):
+    def assert_same(a, b):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+    eig = second_variation_spectrum(solved_theta, torus)
+    assert_same(eig, second_variation_spectrum(_translated(solved_theta, np.asarray(shift)), torus))
+    assert_same(eig, second_variation_spectrum(solved_theta.reversed_edge(edge), torus))
+    circle = second_variation_spectrum(torus_geodesic(klass, samples=48), torus)
+    assert_same(mult * circle,
+                second_variation_spectrum(torus_geodesic(klass, samples=48, mult=mult), torus))
 
 
 def test_spectrum_requires_stationarity(torus, rng):
