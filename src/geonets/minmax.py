@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Edge, GammaNet, WeightedMultigraph, dumbbell_circle, sphere_latitude
+from .solver import solve_stationary
 from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface,
                        _root_surface, volume)
 
@@ -42,6 +43,7 @@ class ShortenResult:
     length: float
     collapsed: bool
     sweeps: int
+    stalled: bool = False       # Newton did not reach the gradient tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +159,39 @@ def _half_sweeps(m):
     return [b for b in blocks if b.size]
 
 
-def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-10,
+def _birkhoff_sweep(metric: Surface, chart, y, offset, relax):
+    """One red-black Gauss-Seidel sweep, in place, over the open loop ``y``
+    closed by ``offset``: each point moves ``relax`` of the way to the
+    geodesic midpoint of its neighbours.  A parity class reads only the
+    other class, except that on an odd loop the last point neighbours
+    point 0 and so moves after the rest of its class."""
+    for idx in _half_sweeps(y.shape[0]):
+        ext = np.vstack([y[-1] - offset, y, y[0] + offset])
+        mid = metric.geodesic_midpoint(chart, ext[idx], ext[idx + 2])
+        y[idx] = (1.0 - relax) * y[idx] + relax * mid
+
+
+#: Birkhoff sweeps go on while one lowers the total length by at least
+#: this share of it; then Newton finishes
+_HANDOFF_DROP = 1e-4
+
+
+def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-8,
                      max_sweeps=4000, collapse_floor=None) -> ShortenResult:
-    """Midpoint-geodesic relaxation of the loop edges of a cycle.
+    """Shorten the loop edges of a cycle: Birkhoff sweeps to get close,
+    trust-region Newton to finish.
 
     Every edge must be a loop; closure offsets (lattice shifts on
-    periodic charts) are preserved.  Stops when a sweep lowers the total
-    length by less than ``tol``, or flags a collapse when any loop drops
-    below the collapse floor (1e-3 x injectivity bound by default).
+    periodic charts) are preserved.  Midpoint-geodesic sweeps
+    (:func:`_birkhoff_sweep`) run while a sweep lowers the total length by
+    at least :data:`_HANDOFF_DROP` of it, and flag a collapse as soon as
+    any loop drops below the collapse floor (1e-3 x injectivity bound by
+    default).  The loops then go to :func:`~geonets.solver.solve_stationary`
+    with length-gradient tolerance ``tol`` and an edge floor of half the
+    shortest loop.  Should Newton trip that floor (it slides off a saddle
+    such as the sphere's equator), the Birkhoff loops are returned with
+    ``stalled`` set; otherwise Newton's net is, and ``stalled`` says it
+    did not converge.  ``sweeps`` counts the Birkhoff sweeps.
     """
     for e in cycle.graph.edges:
         if e.v0 != e.v1:
@@ -172,10 +199,7 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-10,
     if collapse_floor is None:
         collapse_floor = 1e-3 * metric.injectivity_lower_bound
 
-    net = cycle.copy()
-    loops = []
-    for chart, pts in net.edge_paths:
-        loops.append([chart, pts[:-1].copy(), pts[-1] - pts[0]])
+    loops = [(chart, pts[:-1].copy(), pts[-1] - pts[0]) for chart, pts in cycle.edge_paths]
 
     def loop_length(chart, y, offset):
         closed = np.vstack([y, y[0] + offset])
@@ -184,37 +208,31 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-10,
         g = metric.metric(chart, mids)
         return float(np.sum(np.sqrt(np.einsum("si,sij,sj->s", delta, g, delta))))
 
-    def total():
-        return sum(loop_length(*lp) for lp in loops)
-
-    prev = total()
-    sweeps = 0
-    collapsed = False
+    lengths = [loop_length(*lp) for lp in loops]
+    prev, sweeps, collapsed = sum(lengths), 0, False
     for sweeps in range(1, max_sweeps + 1):
-        for chart, y, offset in loops:
-            m = y.shape[0]
-            # red-black Gauss-Seidel: a parity class reads only the other
-            # class, except that on an odd loop the last point neighbours
-            # point 0 and so moves after the rest of its class
-            for idx in _half_sweeps(m):
-                ext = np.vstack([y[-1] - offset, y, y[0] + offset])
-                mid = metric.geodesic_midpoint(chart, ext[idx], ext[idx + 2])
-                y[idx] = (1.0 - relax) * y[idx] + relax * mid
-        cur = total()
-        if any(loop_length(*lp) < collapse_floor for lp in loops):
+        for lp in loops:
+            _birkhoff_sweep(metric, *lp, relax)
+        lengths = [loop_length(*lp) for lp in loops]
+        cur = sum(lengths)
+        if min(lengths) < collapse_floor:
             collapsed = True
-            break
-        if prev - cur < tol:
-            prev = cur
+        if collapsed or prev - cur < _HANDOFF_DROP * cur:
             break
         prev = cur
 
-    for j, (chart, y, offset) in enumerate(loops):
+    net = cycle.copy()
+    for j, (e, (chart, y, offset)) in enumerate(zip(net.graph.edges, loops)):
         net.edge_paths[j] = (chart, np.vstack([y, y[0] + offset]))
-    for j, e in enumerate(net.graph.edges):
-        chart, pts = net.edge_paths[j]
-        net.vertex_points[e.v0] = (chart, pts[0].copy())
-    return ShortenResult(net=net, length=prev, collapsed=collapsed, sweeps=sweeps)
+        net.vertex_points[e.v0] = (chart, y[0].copy())
+    if collapsed:
+        return ShortenResult(net=net, length=sum(lengths), collapsed=True, sweeps=sweeps)
+    res = solve_stationary(net, metric, tol=tol, length_floor=0.5 * min(lengths))
+    if res.status == "collapsed":
+        return ShortenResult(net=net, length=sum(lengths), collapsed=False, sweeps=sweeps,
+                             stalled=True)
+    return ShortenResult(net=res.net, length=res.length, collapsed=False, sweeps=sweeps,
+                         stalled=res.status != "converged")
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +298,14 @@ class WeylTable:
 def weyl_ratio_probe(family, p_list, t_grid, recipe="x-levels", vol_n=256,
                      shorten=False) -> WeylTable:
     """h_p(t) = p^{-1/2} x (width upper bound) / Vol^{1/2} over a t-grid."""
-    table = WeylTable()
-    for p in p_list:
-        for t in t_grid:
-            metric = family.at(t)
-            sw = build_sweepout(metric, p, recipe)
-            est = minmax_upper_bound(sw, metric, shorten=shorten)
-            vol = volume(metric, n=vol_n)
-            h_p = est.upper_bound / (math.sqrt(p) * math.sqrt(vol))
-            table.rows.append({"p": p, "t": float(t),
-                               "upper_bound": est.upper_bound,
-                               "shortened_length": est.shortened_length,
-                               "h_p": h_p})
-    return table
+    rows = [[] for _ in p_list]            # per p, so the table stays p-major
+    for t in t_grid:
+        metric = family.at(t)
+        vol = volume(metric, n=vol_n)
+        for p, p_rows in zip(p_list, rows):
+            est = minmax_upper_bound(build_sweepout(metric, p, recipe), metric, shorten=shorten)
+            p_rows.append({"p": p, "t": float(t),
+                           "upper_bound": est.upper_bound,
+                           "shortened_length": est.shortened_length,
+                           "h_p": est.upper_bound / (math.sqrt(p) * math.sqrt(vol))})
+    return WeylTable([r for p_rows in rows for r in p_rows])

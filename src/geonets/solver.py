@@ -502,11 +502,22 @@ def _circle_dist(a, b):
 
 
 def _least_distance(metric, chart_p, P, chart_q, Q, keep):
-    """Least distance over the pairs (P[a], Q[b]) with keep[a, b]."""
-    rows = keep.any(axis=1)
-    if not rows.any():
+    """Least distance over the pairs (P[a], Q[b]) with keep[a, b].
+
+    On a mesh the first kept row runs unbounded and the others stop at its
+    kept minimum: that is an attained distance, so the least one is the
+    same bit for bit.  Closed forms take every row in one call."""
+    rows = np.flatnonzero(keep.any(axis=1))
+    if not rows.size:
         return np.inf
-    return float(np.min(metric.distances(chart_p, P[rows], chart_q, Q)[keep[rows]]))
+    if metric.closed_form_distances:
+        return float(np.min(metric.distances(chart_p, P[rows], chart_q, Q)[keep[rows]]))
+    first, rest = rows[:1], rows[1:]
+    least = np.min(metric.distances(chart_p, P[first], chart_q, Q)[keep[first]])
+    if rest.size:
+        limited = metric.distances(chart_p, P[rest], chart_q, Q, limit=least)[keep[rest]]
+        least = min(least, np.min(limited))
+    return float(least)
 
 
 def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,

@@ -155,7 +155,10 @@ class Surface:
         return float(self.distances(chart_p, np.reshape(p, (1, 2)),
                                     chart_q, np.reshape(q, (1, 2)))[0, 0])
 
-    def distances(self, chart_p, P, chart_q, Q):
+    #: :meth:`distances` is a closed form, so ``limit`` saves no work
+    closed_form_distances = False
+
+    def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
         """Geodesic distances between the rows of ``P`` and of ``Q``,
         shape ``(len(P), len(Q))``.
 
@@ -163,7 +166,10 @@ class Surface:
         snaps to its nearest node, rounded per axis and wrapped on periodic
         axes (so theta = 2 pi snaps to theta = 0); one Dijkstra runs per
         distinct node of ``P``, and a pair snapped to one node is measured
-        along the short chart segment between its points.
+        along the short chart segment between its points.  Dijkstra stops
+        at ``limit``: a pair of nodes farther apart reads ``inf``, every
+        other distance is the same as without a limit.  Closed forms
+        ignore ``limit``.
         """
         from scipy.sparse.csgraph import dijkstra
 
@@ -175,7 +181,7 @@ class Surface:
         ip, iq = (np.ravel_multi_index(np.rint((X - box.lo) / h).astype(int).T, (n, n),
                                        mode=modes) for X in (P, Q))
         sources, row = np.unique(ip, return_inverse=True)
-        out = dijkstra(graph, directed=False, indices=sources)[row[:, None], iq]
+        out = dijkstra(graph, directed=False, indices=sources, limit=limit)[row[:, None], iq]
         a, b = np.nonzero(ip[:, None] == iq)
         if a.size:
             d, span = Q[b] - P[a], box.hi - box.lo
@@ -276,7 +282,9 @@ class FlatTorus(Surface):
         w = np.full(len(pts), 1.0 / (n * n))
         return [("main", pts, w)]
 
-    def distances(self, chart_p, P, chart_q, Q):
+    closed_form_distances = True
+
+    def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
         P = self.wrap(chart_p, P)[:, None, None]
         Q = self.wrap(chart_q, Q)[None, :, None]
         shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
@@ -364,7 +372,9 @@ class Sphere(Surface):
         denom = 1.0 + u[..., 2]
         return np.stack([u[..., 0] / denom, u[..., 1] / denom], axis=-1)
 
-    def distances(self, chart_p, P, chart_q, Q):
+    closed_form_distances = True
+
+    def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
         up = self.embed(chart_p, P) / self.radius
         uq = self.embed(chart_q, Q) / self.radius
         return self.radius * np.arccos(np.clip(up @ uq.T, -1.0, 1.0))

@@ -7,7 +7,8 @@ from geonets import (ConformalFamily, Edge, GammaNet, ScalarField, WeightedMulti
                      birkhoff_shorten, build_sweepout, constant_field,
                      dumbbell_realizer, dumbbell_width, minmax_upper_bound,
                      sphere_latitude, torus_geodesic, weyl_ratio_probe)
-from geonets.surfaces import DumbbellWidthFamily
+from geonets.minmax import _birkhoff_sweep
+from geonets.surfaces import Dumbbell, DumbbellWidthFamily
 
 
 def _wiggly_circle(amplitude=0.1, samples=64):
@@ -36,6 +37,26 @@ def test_birkhoff_near_equator_converges_to_great_circle(sphere):
     start = sphere_latitude(sphere, np.pi / 2 - 1e-4, samples=2048)
     res = birkhoff_shorten(start, sphere)
     assert not res.collapsed
+    assert res.length == pytest.approx(2 * np.pi, abs=1e-4)
+
+
+def test_birkhoff_reaches_dumbbell_neck():
+    # the sweeps alone stopped on a small length drop at 1.2819
+    dumbbell = Dumbbell()
+    theta = np.linspace(0.0, 2 * np.pi, 65)
+    pts = np.stack([0.5 + 0.02 * np.sin(3 * theta), theta], axis=-1)
+    graph = WeightedMultigraph(["v"], [Edge("v", "v", 1)])
+    loop = GammaNet(graph, {"v": ("main", pts[0].copy())}, [("main", pts)])
+    res = birkhoff_shorten(loop, dumbbell)
+    assert not res.stalled and not res.collapsed
+    assert abs(res.length - 2 * np.pi * 0.2) <= 1e-9
+
+
+def test_birkhoff_returns_its_loop_when_newton_leaves_a_saddle(sphere):
+    # the trust region slides off the equator and trips the edge floor
+    start = sphere_latitude(sphere, np.pi / 2 - 1e-4, samples=2048)
+    res = birkhoff_shorten(start, sphere)
+    assert res.stalled and not res.collapsed
     assert res.length == pytest.approx(2 * np.pi, abs=1e-4)
 
 
@@ -72,10 +93,20 @@ def test_birkhoff_matches_sequential_sweeps(kind, points, torus, sphere):
     if kind == "conformal-torus":
         bump = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
         metric = ConformalFamily(torus, [bump]).at([0.3])
-    ref_path, ref_sweeps = _reference_birkhoff(loop, metric)
-    res = birkhoff_shorten(loop, metric)
-    assert res.sweeps == ref_sweeps
-    assert np.max(np.abs(res.net.edge_paths[0][1] - ref_path)) <= 1e-13
+    if kind == "sphere":
+        # a collapsing latitude never reaches Newton: the whole run matches
+        ref_path, ref_sweeps = _reference_birkhoff(loop, metric)
+        res = birkhoff_shorten(loop, metric)
+        assert res.collapsed
+        assert res.sweeps == ref_sweeps
+        assert np.max(np.abs(res.net.edge_paths[0][1] - ref_path)) <= 1e-13
+        return
+    # torus loops hand off to Newton, so one red-black sweep is compared
+    ref_path, _ = _reference_birkhoff(loop, metric, max_sweeps=1)
+    chart, pts = loop.edge_paths[0]
+    y, offset = pts[:-1].copy(), pts[-1] - pts[0]
+    _birkhoff_sweep(metric, chart, y, offset, relax=0.5)
+    assert np.max(np.abs(np.vstack([y, y[0] + offset]) - ref_path)) <= 1e-13
 
 
 def test_torus_width_recipes(torus):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonets import (ConformalFamily, DomainError, ScalarField, closed_geodesic_certificate,
-                     constant_field, dumbbell_circle, embeddedness_certificate, is_nondegenerate,
-                     second_variation_spectrum, solve_stationary, sphere_latitude,
-                     stationarity_residual, torus_geodesic, torus_theta_net)
+from geonets import (ConformalFamily, DomainError, DumbbellWidthFamily, ScalarField,
+                     closed_geodesic_certificate, constant_field, dumbbell_circle,
+                     embeddedness_certificate, is_nondegenerate, second_variation_spectrum,
+                     solve_stationary, solver, sphere_latitude, stationarity_residual,
+                     torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
 from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _NormalDofs, _steihaug,
                             length_gradient_norm, stationary_tracker)
@@ -503,6 +504,29 @@ def test_dumbbell_mesh_closes_the_seam_on_the_waist(dumbbell):
                                     M_bound=12, cert_samples=13)
     r = dumbbell.neck
     assert 2 * r * np.sin(np.pi / 6) <= cert.dE_min[0] <= r * np.pi / 3
+
+
+def _unlimited_least_distance(metric, chart_p, P, chart_q, Q, keep):
+    rows = keep.any(axis=1)
+    if not rows.any():
+        return np.inf
+    return float(np.min(metric.distances(chart_p, P[rows], chart_q, Q)[keep[rows]]))
+
+
+def test_limited_least_distance_is_bit_identical(torus, dumbbell, monkeypatch):
+    bump = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
+    conformal = ConformalFamily(torus, [bump]).at([0.2])
+    member = DumbbellWidthFamily(dumbbell).at(0.15)
+    cases = [(dumbbell_circle(dumbbell, 0.5), dumbbell, n) for n in (9, 13, 33)]
+    cases += [(dumbbell_circle(dumbbell, 0.5), member, 9),
+              (torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=24), conformal, 17)]
+    limited = [embeddedness_certificate(net, metric, M_bound=12, cert_samples=n)
+               for net, metric, n in cases]
+    monkeypatch.setattr(solver, "_least_distance", _unlimited_least_distance)
+    for cert, (net, metric, n) in zip(limited, cases):
+        ref = embeddedness_certificate(net, metric, M_bound=12, cert_samples=n)
+        assert cert.dE_min == ref.dE_min
+        assert cert.dEE_min == ref.dEE_min
 
 
 def test_closed_geodesic_certificate_circle(torus):
