@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import (Dumbbell, FlatTorus, ScalarField, Sphere, Surface, _det2,
-                       _root_surface, surface_average)
+from .surfaces import (_QUAD_BLOCK, Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
+                       _det2, _root_surface, surface_average)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,12 @@ class BumpSystem:
         total_grad = np.sum(grads, axis=0)
         return (grads * total[..., None] - vals[..., None] * total_grad) / (total ** 2)[..., None]
 
+    def _volume_sums(self, chart, pts, dens):
+        """``sum_p psi_k(p) dens(p)`` for every k over one chart's
+        quadrature points, in blocks of :data:`_QUAD_BLOCK` points."""
+        return sum(self.psi_values(chart, pts[s:s + _QUAD_BLOCK]) @ dens[s:s + _QUAD_BLOCK]
+                   for s in range(0, len(pts), _QUAD_BLOCK))
+
 
 def _outer(a, b):
     """Rows a_i * b_j of two ``(n, ...)`` stacks, in the order i * n + j."""
@@ -137,6 +143,20 @@ class _TorusBumps(BumpSystem):
         bx, by = self._axes(x, _bump_1d_periodic)
         dbx, dby = self._axes(x, _bump_1d_periodic_deriv)
         return np.stack([_outer(dbx, by), _outer(bx, dby)], axis=-1)
+
+    def _volume_sums(self, chart, pts, dens):
+        """On an m x m tensor grid psi_{i n + j}(x, y) = a_i(x) a_j(y) with
+        a_i = b_i / sum_l b_l, so the sums are ``A_x @ D @ A_y^T`` over the
+        grid's two axes; any other point set takes the blocked sums."""
+        m = math.isqrt(len(pts))
+        if m * m == len(pts):
+            grid = pts.reshape(m, m, 2)
+            xs, ys = grid[:, 0, 0], grid[0, :, 1]
+            if np.all(grid[..., 0] == xs[:, None]) and np.all(grid[..., 1] == ys):
+                ax, ay = (b / np.sum(b, axis=0) for b in
+                          self._axes(np.stack([xs, ys], axis=-1), _bump_1d_periodic))
+                return (ax @ dens.reshape(m, m) @ ay.T).ravel()
+        return super()._volume_sums(chart, pts, dens)
 
 
 def _torus_partition(surface, eps1, K_min, collar_frac=0.2, n_max=64):
@@ -181,12 +201,17 @@ class _SphereBumps(BumpSystem):
     sectors: np.ndarray           # (K, 3) longitude start, width and collar
 
     def phi_values(self, chart, x):
-        theta, lam = _sphere_angles(self.sphere, chart, x)
-        pad = (-1,) + (1,) * theta.ndim
-        th_lo, th_hi = (self.bands[:, c].reshape(pad) for c in range(2))
-        lam_lo, dlam, collar = (self.sectors[:, c].reshape(pad) for c in range(3))
-        return (_bump_1d(theta, th_lo, th_hi, self.collar_th)[self.band]
-                * _bump_1d_periodic(lam, lam_lo, dlam, collar, period=2 * math.pi))
+        """Band bump times sector bump, with a band's sectors evaluated
+        only where its band bump is nonzero (phi_k is 0 elsewhere)."""
+        theta, lam = (a.ravel() for a in _sphere_angles(self.sphere, chart, x))
+        out = np.zeros((self.K, theta.size))
+        bands = _bump_1d(theta, self.bands[:, :1], self.bands[:, 1:], self.collar_th)
+        for b, row in enumerate(bands):
+            on, cells = np.flatnonzero(row), np.flatnonzero(self.band == b)
+            lam_lo, dlam, collar = (self.sectors[cells, c, None] for c in range(3))
+            out[cells[:, None], on] = row[on] * _bump_1d_periodic(lam[on], lam_lo, dlam, collar,
+                                                                  period=2 * math.pi)
+        return out.reshape((self.K,) + np.shape(x)[:-1])
 
 
 def _sphere_partition(surface, eps1, K_min, collar_frac=0.2):
@@ -301,13 +326,9 @@ def _net_psi_averages(net: GammaNet, metric: Surface, bumps: BumpSystem):
     return num / total
 
 
-#: quadrature points per psi evaluation, which bounds the (K, points) block
-_PSI_BLOCK = 8192
-
-
 def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
-    """Volume average of every psi_k with one pass over the quadrature grid,
-    taken in blocks of :data:`_PSI_BLOCK` points.
+    """Volume average of every psi_k with one pass over the quadrature grid
+    (:meth:`BumpSystem._volume_sums` per chart).
 
     Cached on the bump system per metric object (held weakly, so a freed
     metric's entry goes with it) and grid size.
@@ -321,9 +342,7 @@ def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
         total = 0.0
         for chart, pts, w in metric.quadrature(n):
             dens = w * np.sqrt(_det2(metric.metric(chart, pts)))
-            for start in range(0, len(pts), _PSI_BLOCK):
-                block = slice(start, start + _PSI_BLOCK)
-                sums += bumps.psi_values(chart, pts[block]) @ dens[block]
+            sums += bumps._volume_sums(chart, pts, dens)
             total += float(np.sum(dens))
         per_metric[n] = sums / total
     return per_metric[n]

@@ -35,6 +35,7 @@ class WidthEstimate:
     critical_net: GammaNet | None
     shortened_length: float
     collapsed: bool = False
+    stalled: bool = False       # the shortened net is not stationary (ShortenResult.stalled)
 
 
 @dataclass
@@ -136,15 +137,16 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface, polish=True,
 
     critical = None
     short_len = best
-    collapsed = False
+    collapsed = stalled = False
     if shorten:
         cyc = sweepout.cycle_fn(best_c)
         if cyc is not None:
             sres = birkhoff_shorten(cyc, metric)
-            critical, short_len, collapsed = sres.net, sres.length, sres.collapsed
+            critical, short_len = sres.net, sres.length
+            collapsed, stalled = sres.collapsed, sres.stalled
     return WidthEstimate(p=sweepout.p, upper_bound=best, maximizer=best_c,
                          critical_net=critical, shortened_length=float(short_len),
-                         collapsed=collapsed)
+                         collapsed=collapsed, stalled=stalled)
 
 
 # ---------------------------------------------------------------------------

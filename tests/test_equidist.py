@@ -12,8 +12,9 @@ from geonets import (ConformalFamily, FlatTorus, ScalarField, Sphere, WeightedNe
                      discrepancy_transfer, merge_sequences, merged_block_ratios,
                      min_norm_point, rationalize, rationalize_weights,
                      ratio_series, running_ratio, torus_geodesic)
-from geonets.equidist import (_PSI_BLOCK, _bump_1d, _bump_1d_periodic, _merge_schedule,
+from geonets.equidist import (BumpSystem, _bump_1d, _bump_1d_periodic, _merge_schedule,
                                _sphere_angles, _volume_psi_averages)
+from geonets.surfaces import _QUAD_BLOCK, _det2
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +89,12 @@ def test_torus_phi_values_match_cell_loop(torus, rng, eps1):
 def test_sphere_phi_values_match_cell_loop(sphere, rng, eps1):
     bumps = build_partition(sphere, eps1)
     pts = rng.uniform(-2.0, 2.0, size=(400, 2))
+    batched = rng.uniform(-2.0, 2.0, size=(7, 60, 2))
+    polar = rng.uniform(-0.07, 0.07, size=(50, 2))     # colatitude below 0.2: only the cap is on
     for chart in ("north", "south"):
-        assert np.array_equal(bumps.phi_values(chart, pts),
-                              _reference_phi(bumps, chart, pts))
+        for x in (pts, batched, polar):
+            assert np.array_equal(bumps.phi_values(chart, x), _reference_phi(bumps, chart, x))
+        assert np.count_nonzero(np.any(bumps.phi_values(chart, polar) != 0.0, axis=1)) == 1
 
 
 def test_blocked_volume_averages_match_one_shot(torus, sphere):
@@ -100,12 +104,34 @@ def test_blocked_volume_averages_match_one_shot(torus, sphere):
         bumps = build_partition(metric, eps1)
         sums, total = 0.0, 0.0
         for chart, pts, w in metric.quadrature(n):
-            assert len(pts) > _PSI_BLOCK and len(pts) % _PSI_BLOCK
+            assert len(pts) > _QUAD_BLOCK and len(pts) % _QUAD_BLOCK
             dens = w * np.sqrt(np.linalg.det(metric.metric(chart, pts)))
             sums = sums + bumps.psi_values(chart, pts) @ dens
             total += float(np.sum(dens))
         got = _volume_psi_averages(bumps, metric, n)
         assert np.allclose(got, sums / total, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("eps1", [0.3, 0.22])
+def test_torus_tensor_grid_sums_match_blocked(torus, monkeypatch, eps1):
+    conformal = ConformalFamily(torus, [ScalarField(
+        lambda c, x: np.sin(2 * np.pi * np.asarray(x)[..., 1]))]).at([0.2])
+    for metric in (torus, conformal):
+        bumps = build_partition(metric, eps1)
+        psi_calls = []
+        monkeypatch.setattr(bumps, "psi_values",
+                            lambda c, x, f=bumps.psi_values: psi_calls.append(1) or f(c, x))
+        for n in (64, 100, 256):
+            ((chart, pts, w),) = metric.quadrature(n)
+            dens = w * np.sqrt(_det2(metric.metric(chart, pts)))
+            blocked = BumpSystem._volume_sums(bumps, chart, pts, dens)
+            psi_calls.clear()
+            assert np.allclose(bumps._volume_sums(chart, pts, dens), blocked, rtol=1e-14, atol=0)
+            assert not psi_calls                            # the tensor-grid product
+            perm = np.random.default_rng(n).permutation(len(pts))
+            assert np.allclose(bumps._volume_sums(chart, pts[perm], dens[perm]), blocked,
+                               rtol=1e-14, atol=0)
+            assert psi_calls                                # the blocked fallback
 
 
 @pytest.mark.parametrize("kind, eps_lo, eps_hi, tol", [

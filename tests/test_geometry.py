@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import dijkstra
 from geonets import (ConformalFamily, DomainError, Dumbbell, FlatTorus,
                      ScalarField, Sphere, constant_field, geodesic_distance,
                      load_surface, surface_average, surface_integral, volume)
-from geonets.surfaces import DumbbellWidthFamily
+from geonets.surfaces import _QUAD_BLOCK, DumbbellWidthFamily, _area_integrals, _det2
 
 
 def test_torus_metric_is_identity(torus, rng):
@@ -171,6 +171,26 @@ def test_quadrature_matches_det_reference(torus, sphere, dumbbell):
                                                                    rel=1e-14, abs=0)
         avg = richardson(surf, 48, fld) / vol
         assert surface_average(surf, fld, 48) == pytest.approx(avg, rel=1e-14, abs=0)
+
+
+def test_blocked_area_integrals_match_one_shot(torus, sphere, dumbbell):
+    fld = ScalarField(lambda c, x: 2.0 + np.cos(2 * np.pi * np.asarray(x)[..., 0])
+                      * np.sin(4 * np.pi * np.asarray(x)[..., 1]))
+    # grids of 32 blocks, 4 per chart, 8, and 11 with a partial last one
+    for surf, n in [(torus, 512), (sphere, 128), (dumbbell, 256), (_cos_torus(torus), 300)]:
+        area = integral = 0.0
+        for chart, pts, w in surf.quadrature(n):
+            assert len(pts) > _QUAD_BLOCK
+            dens = np.sqrt(_det2(surf.metric(chart, pts)))
+            area += np.sum(w * dens)
+            integral += np.sum(w * (dens * fld.value(chart, pts)))
+        got = _area_integrals(surf, n, fld)
+        assert np.allclose(got, [area, integral], rtol=1e-14, atol=0), surf.name
+        assert _area_integrals(surf, n, None)[1] == 0.0
+
+    family = ConformalFamily(torus, [constant_field(1.0)])
+    for c in (-0.4, -0.1, 0.25, 0.4):
+        assert abs(volume(family.at([c])) - np.exp(2 * c)) <= 1e-12
 
 
 def test_geodesic_distance_helper(torus):

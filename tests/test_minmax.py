@@ -127,6 +127,15 @@ def test_sphere_latitude_width(sphere):
     assert est.maximizer == pytest.approx(np.pi / 2, abs=1e-3)
 
 
+def test_width_estimate_reports_a_stalled_shortening(sphere, torus):
+    # the maximizing latitude is the equator, a saddle that Newton slides off
+    est = minmax_upper_bound(build_sweepout(sphere, 1, "latitude"), sphere)
+    assert est.stalled and not est.collapsed
+    # a torus level circle is already a stable geodesic
+    est = minmax_upper_bound(build_sweepout(torus, 1, "x-levels"), torus)
+    assert not est.stalled and not est.collapsed
+
+
 def test_recipe_surface_mismatch(torus, sphere):
     with pytest.raises(ValueError):
         build_sweepout(sphere, 1, "x-levels")
