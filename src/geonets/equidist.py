@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .nets import DegenerateNetError, GammaNet
+from .nets import DegenerateNetError
 from .surfaces import (_QUAD_BLOCK, Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
                        _det2, _root_surface, surface_average)
 
@@ -311,21 +311,6 @@ class DiscrepancyReport:
         return bool(self.max_value < self.threshold)
 
 
-def _net_psi_averages(net: GammaNet, metric: Surface, bumps: BumpSystem):
-    """Average of every psi_k along one net, sharing the bump evaluations."""
-    num = np.zeros(bumps.K)
-    total = 0.0
-    for i, e in enumerate(net.graph.edges):
-        chart, pts = net.edge_paths[i]
-        seg, _ = net.edge_segments(i, metric)
-        psis = bumps.psi_values(chart, metric.wrap(chart, pts))
-        num += e.mult * np.sum(0.5 * (psis[:, :-1] + psis[:, 1:]) * seg, axis=1)
-        total += e.mult * float(np.sum(seg))
-    if total <= 0.0:
-        raise DegenerateNetError("average integral undefined on a zero-length net")
-    return num / total
-
-
 def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
     """Volume average of every psi_k with one pass over the quadrature grid
     (:meth:`BumpSystem._volume_sums` per chart).
@@ -353,7 +338,7 @@ def discrepancy(family: WeightedNetFamily, metric: Surface,
     """Per-bump gap between weighted net averages and volume averages."""
     net_avgs = np.zeros(bumps.K)
     for a, net in zip(family.weights, family.nets):
-        net_avgs += a * _net_psi_averages(net, metric, bumps)
+        net_avgs += a * net.average_integral(bumps.psi_values, metric)
     vol_avgs = _volume_psi_averages(bumps, metric, vol_n)
     return DiscrepancyReport(values=np.abs(net_avgs - vol_avgs),
                              threshold=bumps.eps1 / bumps.K)
@@ -515,6 +500,8 @@ def rationalize(alphas, lengths, m, d_max=10**7):
     The strict bounds are re-verified in exact rational arithmetic on
     the binary expansions of the inputs.
     """
+    if not 0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got m = {m!r}")
     alphas = [float(a) for a in alphas]
     lengths = [float(L) for L in lengths]
     J = len(alphas)

@@ -16,7 +16,7 @@ import numpy as np
 from .nets import Edge, GammaNet, WeightedMultigraph, dumbbell_circle, sphere_latitude
 from .solver import solve_stationary
 from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface,
-                       _root_surface, volume)
+                       _root_surface, midpoint_rule, volume)
 
 
 @dataclass
@@ -204,11 +204,7 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-8,
     loops = [(chart, pts[:-1].copy(), pts[-1] - pts[0]) for chart, pts in cycle.edge_paths]
 
     def loop_length(chart, y, offset):
-        closed = np.vstack([y, y[0] + offset])
-        delta = np.diff(closed, axis=0)
-        mids = 0.5 * (closed[:-1] + closed[1:])
-        g = metric.metric(chart, mids)
-        return float(np.sum(np.sqrt(np.einsum("si,sij,sj->s", delta, g, delta))))
+        return float(np.sum(midpoint_rule(metric, chart, y, np.vstack([y[1:], y[0] + offset]))[0]))
 
     lengths = [loop_length(*lp) for lp in loops]
     prev, sweeps, collapsed = sum(lengths), 0, False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Surface
+from .surfaces import Surface, midpoint_rule
 
 
 class DegenerateNetError(ValueError):
@@ -131,39 +131,29 @@ class GammaNet:
 
     # -- per-edge geometry -------------------------------------------------
 
-    def edge_segments(self, i, metric: Surface):
-        """Segment lengths and midpoints of edge i under the metric."""
-        chart, pts = self.edge_paths[i]
-        delta = np.diff(pts, axis=0)
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        g = metric.metric(chart, mids)
-        seg = np.sqrt(np.einsum("si,sij,sj->s", delta, g, delta))
-        return seg, mids
-
-    def edge_length(self, i, metric: Surface):
-        seg, _ = self.edge_segments(i, metric)
-        return float(np.sum(seg))
+    def edge_lengths(self, metric: Surface):
+        """Length of every edge polyline, in edge order, by the
+        :func:`~geonets.surfaces.midpoint_rule` (one call per edge)."""
+        return [float(np.sum(midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]))
+                for chart, pts in self.edge_paths]
 
     def length(self, metric: Surface):
         """Multiplicity-weighted total length."""
-        total = 0.0
-        for i, e in enumerate(self.graph.edges):
-            total += e.mult * self.edge_length(i, metric)
-        return total
+        return sum((e.mult * L for e, L in zip(self.graph.edges, self.edge_lengths(metric))), 0.0)
 
     def integrate(self, h, metric: Surface):
-        """Weighted line integral of a scalar field, trapezoid on samples.
+        """Weighted line integral of a field, trapezoid on samples.
 
-        ``h`` is a ScalarField or a callable ``h(chart, pts)``.
+        ``h`` is a ScalarField or a callable ``h(chart, pts)``; values of
+        shape ``(K, m)`` on m samples, such as K fields, give K integrals.
         """
         value = h.value if hasattr(h, "value") else h
         total = 0.0
-        for i, e in enumerate(self.graph.edges):
-            chart, pts = self.edge_paths[i]
-            seg, _ = self.edge_segments(i, metric)
+        for e, (chart, pts) in zip(self.graph.edges, self.edge_paths):
+            seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
             hv = np.asarray(value(chart, metric.wrap(chart, pts)))
-            total += e.mult * float(np.sum(0.5 * (hv[:-1] + hv[1:]) * seg))
-        return total
+            total += e.mult * np.sum(0.5 * (hv[..., :-1] + hv[..., 1:]) * seg, axis=-1)
+        return total if np.ndim(total) else float(total)
 
     def average_integral(self, h, metric: Surface):
         L = self.length(metric)
@@ -180,16 +170,10 @@ class GammaNet:
         variation agree with finite differences to solver precision.
         """
         total = 0.0
-        for i, e in enumerate(self.graph.edges):
-            chart, pts = self.edge_paths[i]
-            delta = np.diff(pts, axis=0)
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            g = metric.metric(chart, mids)
-            T = np.asarray(tensor(chart, mids))
-            num = np.einsum("si,sij,sj->s", delta, T, delta)
-            den = np.einsum("si,sij,sj->s", delta, g, delta)
-            seg = np.sqrt(den)
-            total += e.mult * float(np.sum(num / den * seg))
+        for e, (chart, pts) in zip(self.graph.edges, self.edge_paths):
+            seg, delta, mids, gd = midpoint_rule(metric, chart, pts[:-1], pts[1:])
+            num = np.einsum("si,sij,sj->s", delta, np.asarray(tensor(chart, mids)), delta)
+            total += e.mult * float(np.sum(num / np.einsum("si,si->s", delta, gd) * seg))
         return total
 
     # -- reparametrization -------------------------------------------------
@@ -200,7 +184,7 @@ class GammaNet:
             samples_per_edge = [int(samples_per_edge)] * len(self.edge_paths)
         new_paths = []
         for i, (chart, pts) in enumerate(self.edge_paths):
-            seg, _ = self.edge_segments(i, metric)
+            seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
             s = np.concatenate([[0.0], np.cumsum(seg)])
             if s[-1] == 0.0:
                 raise DegenerateNetError("cannot resample a zero-length edge")
@@ -218,9 +202,6 @@ class GammaNet:
         net.graph = WeightedMultigraph(net.graph.vertices, edges)
         net.edge_paths[i] = (chart, pts[::-1].copy())
         return net
-
-    def min_edge_length(self, metric: Surface):
-        return min(self.edge_length(i, metric) for i in range(len(self.edge_paths)))
 
     # -- serialization -----------------------------------------------------
 

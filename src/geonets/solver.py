@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import DomainError, Surface
+from .surfaces import DomainError, Surface, midpoint_rule
 
 
 @dataclass
@@ -79,7 +79,8 @@ class _Dofs:
     ``off[k]``: zero inside an edge, a lattice shift on periodic charts at
     its ends, so moving a vertex moves every incident end consistently.
     Segment j runs from sample ``seg[j]`` to ``seg[j] + 1`` with weight
-    ``mult[j]``; ``chart_segments`` selects the segments of each chart.
+    ``mult[j]``; ``seg_bounds`` splits the segments by edge and
+    ``chart_segments`` selects the segments of each chart.
     """
 
     def __init__(self, net: GammaNet, surface: Surface):
@@ -103,6 +104,7 @@ class _Dofs:
         ends = np.cumsum([pts.shape[0] for _, pts in net.edge_paths])
         self.bounds, self.seg = ends[:-1], np.delete(np.arange(ends[-1]), ends - 1)
         runs = np.diff(ends, prepend=0) - 1
+        self.seg_bounds = np.cumsum(runs)[:-1]
         self.mult = np.repeat([float(e.mult) for e in net.graph.edges], runs)
         charts = np.repeat([c for c, _ in net.edge_paths], runs)
         names = list(dict.fromkeys(charts))
@@ -217,24 +219,19 @@ class _NormalDofs:
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
-    """Discrete length and its gradient at the dof vector ``x``: one
-    ``metric`` and one ``metric_deriv`` call per chart on the segment
-    midpoints, segment-end gradients summed onto points by ``bincount``."""
+    """Discrete length, its gradient and the segment lengths at the dof
+    vector ``x``: one :func:`~geonets.surfaces.midpoint_rule` call per
+    chart, segment-end gradients summed onto points by ``bincount``."""
     pts = dofs.samples(x)
     a, b = pts[dofs.seg], pts[dofs.seg + 1]
-    delta, mids = b - a, 0.5 * (a + b)
-    g, dg = np.empty((len(delta), 2, 2)), np.empty((len(delta), 2, 2, 2))
+    seg, gd, q = np.empty(len(a)), np.empty_like(a), np.empty_like(a)
     for chart, sel in dofs.chart_segments:
-        g[sel] = metric.metric(chart, mids[sel])
-        dg[sel] = metric.metric_deriv(chart, mids[sel])
-    gd = np.einsum("sij,sj->si", g, delta)
-    seg = np.sqrt(np.einsum("si,si->s", delta, gd))
-    q = np.einsum("skij,si,sj->sk", dg, delta, delta)
+        seg[sel], _, _, gd[sel], q[sel] = midpoint_rule(metric, chart, a[sel], b[sel], deriv=True)
     # coincident samples contribute zero length (delta = 0); dividing by 1
     # there gives their undefined direction a zero subgradient
     safe, m = np.where(seg > 0.0, seg, 1.0)[:, None], dofs.mult[:, None]
     push = np.concatenate([(gd + 0.25 * q) / safe * m, (-gd + 0.25 * q) / safe * m])
-    return float(dofs.mult @ seg), np.bincount(dofs.scatter, push.ravel(), dofs.size)
+    return float(dofs.mult @ seg), np.bincount(dofs.scatter, push.ravel(), dofs.size), seg
 
 
 #: central-difference step of the length Hessian; its O(h^2) truncation
@@ -372,7 +369,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     if length_floor is None:
         length_floor = 1e-4 * metric.injectivity_lower_bound
     dofs, t0 = _Dofs(init, metric), time.perf_counter()  # DomainError on a foreign chart
-    if init.min_edge_length(metric) <= length_floor:
+    if min(init.edge_lengths(metric)) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
 
     def fg(z):
@@ -383,7 +380,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         return np.bincount(R, V * v[C], v.size)
 
     x = dofs.pack()
-    (f, g), n_grad, nit, radius, frame, status = fg(x), 1, 0, 1.0, None, "max_iter"
+    (f, g, _), n_grad, nit, radius, frame, status = fg(x), 1, 0, 1.0, None, "max_iter"
     while nit < max_iter and status == "max_iter":
         if np.linalg.norm(g) <= 0.1 * tol:
             status = "converged"
@@ -396,7 +393,8 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
             gr, n_grad = frame.restrict(g), n_grad + 2 * (frame.nv2 + 3)
         gnorm = np.linalg.norm(gr)
         p = _steihaug(hess, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
-        pred, (f_new, g_new) = -(gr @ p + 0.5 * p @ hess(p)), fg(x + frame.expand(p))
+        x_new = x + frame.expand(p)
+        pred, (f_new, g_new, seg) = -(gr @ p + 0.5 * p @ hess(p)), fg(x_new)
         n_grad, nit = n_grad + 1, nit + 1
         rho = ((f - f_new) / pred if pred > _ROUNDING * f
                else float(np.linalg.norm(g_new) < np.linalg.norm(g)))
@@ -405,12 +403,12 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         elif rho > _GROW_ABOVE and np.linalg.norm(p) >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
-            x, frame = x + frame.expand(p), None
-            if dofs.unpack(x).min_edge_length(metric) <= length_floor:
+            x, frame = x_new, None
+            if min(map(np.sum, np.split(seg, dofs.seg_bounds))) <= length_floor:
                 status = "collapsed"
             else:
                 x = dofs.resample(x)
-                (f, g), n_grad = fg(x), n_grad + 1
+                (f, g, _), n_grad = fg(x), n_grad + 1
         elif radius <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
             status = "stalled"
 
@@ -526,14 +524,16 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
 
     Distances are geodesic distances under the metric; the injectivity
     lower bound configured on the metric stands in for inj(g) in the
-    separation windows.
+    separation windows.  ``M_bound`` must be a positive integer.
     """
-    M = int(M_bound)
+    M = int(M_bound) if float(M_bound).is_integer() else 0
+    if M < 1:
+        raise ValueError(f"M_bound must be a positive integer, got {M_bound!r}")
     net = net.resample(metric, cert_samples)
     inj = metric.injectivity_lower_bound
     edges = net.graph.edges
 
-    lengths = [net.edge_length(i, metric) for i in range(len(edges))]
+    lengths = net.edge_lengths(metric)
     F1 = min(lengths)
 
     incid = _inward_tangents(net, metric)

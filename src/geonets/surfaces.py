@@ -83,6 +83,19 @@ class Chart:
         return ok
 
 
+def midpoint_rule(surface, chart, a, b, deriv=False):
+    """The one discrete length rule: the chart segments from the rows of
+    ``a`` to those of ``b``, each measured by the metric at its midpoint.
+    Returns ``(lengths, b - a, midpoints, g (b - a))``, and with ``deriv``
+    also ``q[s, k] = d_k g(b - a, b - a)`` at the midpoints."""
+    delta, mids = b - a, 0.5 * (a + b)
+    gd = np.einsum("sij,sj->si", surface.metric(chart, mids), delta)
+    out = np.sqrt(np.einsum("si,si->s", delta, gd)), delta, mids, gd
+    if deriv:
+        out += (np.einsum("skij,si,sj->sk", surface.metric_deriv(chart, mids), delta, delta),)
+    return out
+
+
 class Surface:
     """Base class: a 2-surface given by charts with SPD tensor evaluators."""
 
@@ -187,7 +200,7 @@ class Surface:
         if a.size:
             d, span = Q[b] - P[a], box.hi - box.lo
             d = np.where(box.periodic, d - span * np.round(d / span), d)
-            out[a, b] = self._segment_lengths(box.name, P[a], d)
+            out[a, b] = midpoint_rule(self, box.name, P[a], P[a] + d)[0]
         return out
 
     def geodesic_midpoint(self, chart, p, q):
@@ -203,12 +216,6 @@ class Surface:
         gam = self.christoffel(chart, mid)
         corr = np.einsum("...kij,...i,...j->...k", gam, delta, delta)
         return mid - 0.125 * corr
-
-    def _segment_lengths(self, chart, x, d):
-        """Metric lengths of the chart steps ``d`` from the points ``x``,
-        measured at their midpoints."""
-        g = self.metric(chart, x + 0.5 * d)
-        return np.sqrt(np.einsum("si,sij,sj->s", d, g, d))
 
     def _mesh(self, n):
         """The cached ``(box, h, graph)`` of the n x n distance grid on the
@@ -235,7 +242,8 @@ class Surface:
             to = ij[:, None] + steps
             src, k = np.nonzero(np.all(np.asarray(box.periodic) | ((to >= 0) & (to < n)), axis=-1))
             dst = np.ravel_multi_index(to[src, k].T, (n, n), mode="wrap")
-            w = self._segment_lengths(box.name, box.lo + ij[src] * h, steps[k] * h)
+            x = box.lo + ij[src] * h
+            w = midpoint_rule(self, box.name, x, x + steps[k] * h)[0]
             self._mesh_cache[n] = box, h, coo_matrix((w, (src, dst)), shape=(n * n, n * n)).tocsr()
         return self._mesh_cache[n]
 

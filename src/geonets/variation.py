@@ -3,9 +3,10 @@
 For a net stationary under g(s), the derivative of its length along a
 metric family with d g / d s = T is  1/2 * integral of trace T along the
 net.  The analytic value here uses the segment-midpoint trace rule of
-:meth:`GammaNet.segment_trace_integral`, which is algebraically the
-s-derivative of the discrete length, so finite differences of re-solved
-nets reproduce it to solver precision.
+:meth:`GammaNet.segment_trace_integral`, built on the same
+:func:`~geonets.surfaces.midpoint_rule` as every discrete length; it is
+algebraically the s-derivative of that length, so finite differences of
+re-solved nets reproduce it to solver precision.
 """
 
 from __future__ import annotations

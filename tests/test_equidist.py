@@ -293,6 +293,14 @@ def test_rationalize_rejects_bad_lengths():
         rationalize([1.0], [0.0], 5)
 
 
+@pytest.mark.parametrize("m", [0, -1, float("inf")])
+def test_rationalize_rejects_a_bad_m(m):
+    # m = 0 divided by zero; m = -1 and m = inf made every bound negative
+    # or zero, so the search walked to d_max
+    with pytest.raises(ValueError, match=f"m = {m}"):
+        rationalize([0.25, 0.75], [1.0, 2.0], m, d_max=20_000)
+
+
 # ---------------------------------------------------------------------------
 # merging and running ratios
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Weighted multigraphs and discrete nets."""
 
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geonets import (DegenerateNetError, Edge, GammaNet, WeightedMultigraph,
-                     ScalarField, dumbbell_circle, loop_graph, sphere_latitude,
-                     theta_graph, torus_geodesic, torus_theta_net)
+from geonets import (ConformalFamily, DegenerateNetError, Edge, GammaNet, WeightedMultigraph,
+                     ScalarField, build_partition, constant_field, dumbbell_circle, loop_graph,
+                     sphere_latitude, theta_graph, torus_geodesic, torus_theta_net)
+from geonets.solver import _Dofs, _length_and_dof_grad
+from geonets.variation import LinearlyPerturbedSurface
 
 
 def test_graph_degree_and_components():
@@ -100,7 +106,7 @@ def test_dumbbell_circle_length(dumbbell):
 
 def test_min_edge_length(torus):
     net = torus_theta_net([(1, 0), (0, 1), (-1, -1)])
-    assert 0 < net.min_edge_length(torus) <= net.length(torus)
+    assert 0 < min(net.edge_lengths(torus)) <= net.length(torus)
 
 
 def test_zero_length_average_raises(torus):
@@ -110,3 +116,112 @@ def test_zero_length_average_raises(torus):
     fld = ScalarField(lambda c, x: np.ones(np.asarray(x).shape[:-1]))
     with pytest.raises(DegenerateNetError):
         net.average_integral(fld, torus)
+
+
+# ---------------------------------------------------------------------------
+# properties of the midpoint rule behind every length and line integral
+# ---------------------------------------------------------------------------
+
+CLASSES = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda k: gcd(*k) == 1)
+SHIFTS = st.sampled_from([[(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (0, 0)],
+                          [(1, 0), (0, 0), (1, 1)]])
+
+
+def _wiggled(net, seed, scale=0.01):
+    """``net`` with every interior sample moved by Gaussian noise."""
+    rng, out = np.random.default_rng(seed), net.copy()
+    for i, (chart, pts) in enumerate(out.edge_paths):
+        noise = scale * rng.standard_normal(pts.shape)
+        noise[0] = noise[-1] = 0.0
+        out.edge_paths[i] = (chart, pts + noise)
+    return out
+
+
+def _off_diagonal_torus(torus, s=0.2):
+    """The flat torus plus s T, with T(x, y) = [[cos 2 pi x, sin 2 pi y], [sin 2 pi y, 0]]."""
+
+    def tensor(chart, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = np.cos(2 * np.pi * x[..., 0])
+        out[..., 0, 1] = out[..., 1, 0] = np.sin(2 * np.pi * x[..., 1])
+        return out
+
+    def tensor_deriv(chart, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = -2 * np.pi * np.sin(2 * np.pi * x[..., 0])
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = 2 * np.pi * np.cos(2 * np.pi * x[..., 1])
+        return out
+
+    return LinearlyPerturbedSurface(torus, tensor, tensor_deriv, s)
+
+
+@pytest.fixture(scope="module")
+def torus_bumps(torus):
+    return build_partition(torus, 0.3, 4)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(klass=CLASSES, shifts=SHIFTS, c=st.floats(-0.9, 0.9), seed=st.integers(0, 2**16),
+       colat=st.floats(0.05, np.pi - 0.05), samples=st.integers(3, 80))
+def test_conformal_length_law(torus, sphere, klass, shifts, c, seed, colat, samples):
+    cases = [(_wiggled(torus_geodesic(klass, samples=samples), seed), torus),
+             (_wiggled(torus_theta_net(shifts, samples=samples), seed), torus),
+             (sphere_latitude(sphere, colat, samples=samples), sphere)]
+    for net, base in cases:
+        scaled = ConformalFamily(base, [constant_field(1.0)]).at([c])
+        assert net.length(scaled) == pytest.approx(np.exp(c) * net.length(base), rel=1e-14)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(klass=CLASSES, mult=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_multiplicity_linearity_is_exact(torus, torus_bumps, klass, mult, seed):
+    (chart, pts), = _wiggled(torus_geodesic(klass, samples=24), seed).edge_paths
+    single, multiple = (GammaNet(loop_graph(m), {"v": (chart, pts[0])}, [(chart, pts)])
+                        for m in (1, mult))
+    fld = torus_bumps.psi[seed % torus_bumps.K]
+    assert multiple.length(torus) == mult * single.length(torus)
+    assert multiple.integrate(fld, torus) == mult * single.integrate(fld, torus)
+    assert np.array_equal(multiple.integrate(torus_bumps.psi_values, torus),
+                          mult * single.integrate(torus_bumps.psi_values, torus))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(shifts=SHIFTS, edge=st.integers(0, 2), seed=st.integers(0, 2**16),
+       samples=st.integers(3, 64))
+def test_edge_reversal_invariance(torus, torus_bumps, shifts, edge, seed, samples):
+    net = _wiggled(torus_theta_net(shifts, samples=samples), seed)
+    rev = net.reversed_edge(edge)
+    assert rev.length(torus) == pytest.approx(net.length(torus), rel=1e-14)
+    assert rev.edge_lengths(torus)[edge] == pytest.approx(net.edge_lengths(torus)[edge], rel=1e-14)
+    assert np.allclose(rev.integrate(torus_bumps.psi_values, torus),
+                       net.integrate(torus_bumps.psi_values, torus), rtol=1e-14, atol=1e-15)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(shifts=SHIFTS, seed=st.integers(0, 2**16), c=st.floats(-0.5, 0.5))
+def test_vector_integrate_rows_are_scalar_integrals(torus, torus_bumps, shifts, seed, c):
+    net = _wiggled(torus_theta_net(shifts, samples=20), seed)
+    wave = ScalarField(lambda chart, x: np.cos(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]))
+    metric = ConformalFamily(torus, [wave]).at([c])
+    rows = net.integrate(torus_bumps.psi_values, metric)
+    averages = net.average_integral(torus_bumps.psi_values, metric)
+    assert rows.shape == averages.shape == (torus_bumps.K,)
+    for k, psi in enumerate(torus_bumps.psi):
+        assert rows[k] == net.integrate(psi, metric)
+        assert averages[k] == net.average_integral(psi, metric)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(klass=CLASSES, shifts=SHIFTS, seed=st.integers(0, 2**16), samples=st.integers(3, 64))
+def test_net_length_is_the_solver_length(torus, dumbbell, klass, shifts, seed, samples):
+    skewed = _off_diagonal_torus(torus)
+    cases = [(_wiggled(torus_geodesic(klass, samples=samples), seed), skewed),
+             (_wiggled(torus_theta_net(shifts, samples=samples), seed), skewed),
+             (_wiggled(torus_theta_net(shifts, samples=samples), seed), torus),
+             (_wiggled(dumbbell_circle(dumbbell, 0.3, samples=samples), seed), dumbbell)]
+    for net, metric in cases:
+        dofs = _Dofs(net, metric)
+        L = _length_and_dof_grad(dofs, metric, dofs.pack())[0]
+        assert L == pytest.approx(net.length(metric), rel=1e-14)

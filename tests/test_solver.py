@@ -286,7 +286,7 @@ def test_packed_gradient_matches_per_edge_reference(torus, sphere, dumbbell, rng
     for net, metric in cases:
         dofs = _Dofs(net, metric)
         x = dofs.pack() + 1e-3 * rng.standard_normal(dofs.size)
-        L, g = _length_and_dof_grad(dofs, metric, x)
+        L, g, _ = _length_and_dof_grad(dofs, metric, x)
         L_ref, g_ref = _per_edge_length_and_dof_grad(dofs, metric, x)
         assert abs(L - L_ref) <= 1e-14 * L_ref
         assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
@@ -426,6 +426,13 @@ def test_embeddedness_certificate_theta(torus):
         assert v == pytest.approx(-0.5, abs=2e-3)
 
 
+@pytest.mark.parametrize("M", [0, -3, 2.9, float("inf")])
+def test_certificate_rejects_a_bad_M_bound(torus, M):
+    # 0 divided by zero, -3 passed conditions 3-6, 2.9 became 2 and inf overflowed
+    with pytest.raises(ValueError, match="M_bound"):
+        embeddedness_certificate(torus_geodesic((1, 0)), torus, M_bound=M)
+
+
 def test_certificate_flags_self_overlap(torus):
     # this theta embedding wraps an edge past a lattice vector: it
     # self-overlaps, and the separation conditions must fail
@@ -437,7 +444,7 @@ def test_certificate_flags_self_overlap(torus):
 def _reference_separations(cert_net, metric):
     """dE_min and dEE_min by one distance call per sample pair."""
     inj, edges = metric.injectivity_lower_bound, cert_net.graph.edges
-    lengths = [cert_net.edge_length(i, metric) for i in range(len(edges))]
+    lengths = cert_net.edge_lengths(metric)
     t = [np.linspace(0.0, 1.0, pts.shape[0]) for _, pts in cert_net.edge_paths]
     dE, dEE = {}, {}
     for i, e in enumerate(edges):
