@@ -508,7 +508,7 @@ def rationalize(alphas, lengths, m, d_max=10**7):
     if any(L <= 0 for L in lengths):
         raise ValueError("net lengths must be positive")
     targets = [Fraction(a) / Fraction(L) for a, L in zip(alphas, lengths)]
-    bounds = [Fraction(1) / (m * J * Fraction(L)) for L in lengths]
+    bounds = [1 / (Fraction(m) * J * Fraction(L)) for L in lengths]
     d = 1
     while d <= d_max:
         cs = [max(0, round(t * d)) for t in targets]

@@ -147,19 +147,25 @@ class GammaNet:
         ``h`` is a ScalarField or a callable ``h(chart, pts)``; values of
         shape ``(K, m)`` on m samples, such as K fields, give K integrals.
         """
+        return self._length_and_integral(h, metric)[1]
+
+    def average_integral(self, h, metric: Surface):
+        L, total = self._length_and_integral(h, metric)
+        if L <= 0.0:
+            raise DegenerateNetError("average integral undefined on a zero-length net")
+        return total / L
+
+    def _length_and_integral(self, h, metric):
+        """:meth:`length` and :meth:`integrate` from one midpoint rule pass per edge."""
         value = h.value if hasattr(h, "value") else h
-        total = 0.0
+        lengths, total = [], 0.0
         for e, (chart, pts) in zip(self.graph.edges, self.edge_paths):
             seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
             hv = np.asarray(value(chart, metric.wrap(chart, pts)))
+            lengths.append(float(np.sum(seg)))
             total += e.mult * np.sum(0.5 * (hv[..., :-1] + hv[..., 1:]) * seg, axis=-1)
-        return total if np.ndim(total) else float(total)
-
-    def average_integral(self, h, metric: Surface):
-        L = self.length(metric)
-        if L <= 0.0:
-            raise DegenerateNetError("average integral undefined on a zero-length net")
-        return self.integrate(h, metric) / L
+        length = sum((e.mult * L for e, L in zip(self.graph.edges, lengths)), 0.0)
+        return length, total if np.ndim(total) else float(total)
 
     def segment_trace_integral(self, tensor, metric: Surface):
         """Weighted integral of trace_T along the net with the segment

@@ -2,7 +2,8 @@
 
 Everything here works on reduced dofs (:class:`_NormalDofs`): two per
 vertex, then one per edge interior sample along its chord normal, with
-one Hessian from coloured central differences of the analytic gradient.
+one Hessian scattered from the closed-form 4 x 4 Hessians of the
+segment lengths (the length is partially separable).
 The solver minimizes total (multiplicity-weighted) length by trust-region
 Newton steps (Steihaug's truncated CG) whose vertex dofs drag the samples
 of their edges by hat weights, resampling each edge to uniform arclength
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -132,22 +133,11 @@ class _Dofs:
 
     @cached_property
     def hat(self):
-        """(interior point, vertex) weights of the vertex drag: interior
-        sample k of the m on an edge follows v0 by 1 - k/(m+1), v1 by k/(m+1)."""
-        W, ofs = np.zeros((self.size // 2 - self.nv, self.nv)), 0
-        for e, m in zip(self.net.graph.edges, self.interior_counts):
-            t = np.arange(1, m + 1) / (m + 1)
-            W[ofs:ofs + m, self.vindex[e.v0]] += 1.0 - t
-            W[ofs:ofs + m, self.vindex[e.v1]] += t
-            ofs += m
-        return W
-
-    @cached_property
-    def chain_pairs(self):
-        """(row, column) interior-sample indices at most one apart on an edge."""
-        a, b = self.pidx[self.seg] - self.nv, self.pidx[self.seg + 1] - self.nv
-        inner, same = (a >= 0) & (b >= 0), np.arange(self.size // 2 - self.nv)
-        return np.concatenate([same, a[inner], b[inner]]), np.concatenate([same, b[inner], a[inner]])
+        """Per interior point (v0, v1, t) of the vertex drag: interior sample
+        k of the m on an edge follows v0 by 1 - t and v1 by t = k/(m+1)."""
+        ends = [[self.vindex[e.endpoint(i)] for e in self.net.graph.edges] for i in (0, 1)]
+        t = [np.arange(1, m + 1) / (m + 1) for m in self.interior_counts]
+        return (*(np.repeat(v, self.interior_counts) for v in ends), np.concatenate(t))
 
     def resample(self, x):
         """``x`` with every edge's interior samples moved to uniform chart
@@ -173,49 +163,39 @@ class _NormalDofs:
     """Reduced dofs at ``x``: two per vertex, then one per interior sample
     along its chord normal.  With ``drag`` a vertex dof also drags the
     interior samples of its edges by :attr:`_Dofs.hat`; without it the
-    vertex moves alone and N has orthonormal columns.  ``expand`` is the
-    linear map N to full dofs, ``restrict`` its transpose."""
+    vertex moves alone and N has orthonormal columns.  N is stored row by
+    row: full dof f is ``vals[f] @ y[cols[f]]`` (a vertex dof itself, or a
+    normal and two hat-weighted vertex dofs).  ``expand`` is N,
+    ``restrict`` its transpose and ``hessian`` the reduced N^T H N."""
 
     def __init__(self, dofs: _Dofs, x, drag):
-        self.dofs, self.x, self.normals = dofs, x, _chord_normals(dofs, x)
-        self.nv2, self.size = 2 * dofs.nv, 2 * dofs.nv + len(self.normals)
-        self.drag = dofs.hat if drag else np.zeros((len(self.normals), dofs.nv))
+        self.dofs, self.x, normals = dofs, x, _chord_normals(dofs, x)
+        (v0, v1, t), nv, xy = dofs.hat, dofs.nv, np.arange(2)
+        self.size = 2 * nv + len(t)
+        # rows by (point, coordinate): the vertices, then the interior samples
+        cols, vals = np.zeros((nv + len(t), 2, 3), dtype=int), np.zeros((nv + len(t), 2, 3))
+        cols[:nv, :, 0], vals[:nv, :, 0] = 2 * np.arange(nv)[:, None] + xy, 1.0
+        cols[nv:, :, 0], vals[nv:, :, 0] = 2 * nv + np.arange(len(t))[:, None], normals
+        cols[nv:, :, 1], vals[nv:, :, 1] = 2 * v0[:, None] + xy, drag * (1.0 - t)[:, None]
+        cols[nv:, :, 2], vals[nv:, :, 2] = 2 * v1[:, None] + xy, drag * t[:, None]
+        self.cols, self.vals = cols.reshape(-1, 3), vals.reshape(-1, 3)
 
     def expand(self, y):
-        inner = self.drag @ y[:self.nv2].reshape(-1, 2) + self.normals * y[self.nv2:, None]
-        return np.concatenate([y[:self.nv2], inner.ravel()])
+        return np.einsum("fk,fk->f", self.vals, y[self.cols])
 
     def restrict(self, g):
-        inner = g[self.nv2:].reshape(-1, 2)
-        return np.concatenate([g[:self.nv2] + (self.drag.T @ inner).ravel(),
-                               np.einsum("ij,ij->i", self.normals, inner)])
+        return np.bincount(self.cols.ravel(), (self.vals * g[:, None]).ravel(), self.size)
 
-    def hessian(self, grad):
-        """COO triplets (rows, columns, values) of N^T H N, the
-        symmetrised central differences of ``grad`` at _FD_STEP: one
-        difference per vertex column and one per interior index mod 3 for
-        the normals (samples 3 apart on a chain touch disjoint normal
-        rows); their vertex rows come from the vertex columns by symmetry."""
-        n, nv2 = self.size, self.nv2
-
-        def column(y):
-            dx = _FD_STEP * self.expand(y)
-            return self.restrict(grad(self.x + dx) - grad(self.x - dx)) / (2 * _FD_STEP)
-
-        rows, cols, vals = [], [], []
-        for j, unit in enumerate(np.eye(nv2, n)):
-            d = column(unit)
-            rows += [np.arange(n), np.full(n - nv2, j)]
-            cols += [np.full(n, j), np.arange(nv2, n)]
-            vals += [d, d[nv2:]]
-        r, c = self.dofs.chain_pairs
-        for k in range(3):
-            d, sel = column(np.concatenate([np.zeros(nv2), np.arange(n - nv2) % 3 == k])), c % 3 == k
-            rows.append(nv2 + r[sel])
-            cols.append(nv2 + c[sel])
-            vals.append(d[nv2 + r[sel]])
-        return (np.concatenate(rows + cols), np.concatenate(cols + rows),
-                0.5 * np.concatenate(vals + vals))
+    def hessian(self, metric: Surface):
+        """Dense N^T H N of the length under ``metric``: each block of
+        :func:`_segment_hessians` scattered through the rows of N by one
+        bincount, then made exactly symmetric."""
+        full, blocks = _segment_hessians(self.dofs, metric, self.x)
+        c, v, n = self.cols[full], self.vals[full], self.size
+        H = np.bincount((c[:, :, :, None, None] * n + c[:, None, None]).ravel(),
+                        np.einsum("sip,sij,sjq->sipjq", v, blocks, v).ravel(), n * n).reshape(n, n)
+        H += H.T
+        return 0.5 * H
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
@@ -234,8 +214,36 @@ def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
     return float(dofs.mult @ seg), np.bincount(dofs.scatter, push.ravel(), dofs.size), seg
 
 
-#: central-difference step of the length Hessian; its O(h^2) truncation
-#: stays far below the 1e-6 Jacobi-field threshold of is_nondegenerate
+def _segment_hessians(dofs: _Dofs, metric: Surface, x):
+    """The 4 full dofs of every segment (its end b, then its start a) and
+    the multiplicity-weighted 4 x 4 Hessian of its length L = sqrt(Q),
+    Q = D^T g(m) D, D = b - a, m = (a + b)/2: HL = HQ/2L - dQ dQ^T/4L^3
+    with the safe L of :func:`_length_and_dof_grad`.  HQ has the blocks
+    bb = 2g + P + P^T + S/4, aa = 2g - P - P^T + S/4, ab = -2g - P + P^T
+    + S/4, where P[i, k] = d_k g_ij D_j and S[k, l] = d_k d_l g(D, D) is a
+    symmetrised central difference of ``metric_deriv`` at m +- _FD_STEP e_l."""
+    pts = dofs.samples(x)
+    a, b = pts[dofs.seg], pts[dofs.seg + 1]
+    delta, mids = b - a, 0.5 * (a + b)
+    g, dg = np.empty((len(a), 2, 2)), np.empty((5, len(a), 2, 2, 2))
+    shifts = _FD_STEP * np.concatenate([np.zeros((1, 2)), np.eye(2), -np.eye(2)])[:, None]
+    for chart, sel in dofs.chart_segments:
+        g[sel] = metric.metric(chart, mids[sel])
+        dg[:, sel] = metric.metric_deriv(chart, (mids[sel] + shifts).reshape(-1, 2)).reshape(5, -1, 2, 2, 2)
+    P, q = np.einsum("skij,sj->sik", dg[0], delta), np.einsum("eskij,si,sj->esk", dg, delta, delta)
+    S = np.stack([q[1] - q[3], q[2] - q[4]], -1) / (8 * _FD_STEP)
+    g2, S, Pt = 2.0 * g, 0.5 * (S + np.swapaxes(S, 1, 2)), np.swapaxes(P, 1, 2)
+    HQ = np.block([[g2 + P + Pt + S, -g2 + P - Pt + S], [-g2 - P + Pt + S, g2 - P - Pt + S]])
+    gd = np.einsum("sij,sj->si", g2, delta)
+    dQ = np.concatenate([gd + 0.5 * q[0], -gd + 0.5 * q[0]], -1)
+    L = np.sqrt(0.5 * np.einsum("si,si->s", delta, gd))
+    L = np.where(L > 0.0, L, 1.0)[:, None, None]
+    H = (HQ / (2 * L) - dQ[:, :, None] * dQ[:, None, :] / (4 * L**3)) * dofs.mult[:, None, None]
+    return dofs.scatter.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 4), H
+
+
+#: central-difference step of the second metric derivatives in the segment
+#: Hessians; their O(h^2) truncation is far below every Hessian tolerance
 _FD_STEP = 1e-6
 #: relative eigenvalue cutoff of the Newton pseudo-inverse
 _PINV_RCOND = 1e-7
@@ -250,14 +258,6 @@ def _pseudo_inverse(H):
     lam, V = np.linalg.eigh(H)
     keep = np.abs(lam) > _PINV_RCOND * np.max(np.abs(lam))
     return (V[:, keep] / lam[keep]) @ V[:, keep].T
-
-
-def _free_vertex_hessian(dofs: _Dofs, metric: Surface, x):
-    """The free-vertex frame at ``x`` and its dense reduced length Hessian."""
-    frame = _NormalDofs(dofs, x, drag=False)
-    R, C, V = frame.hessian(lambda z: _length_and_dof_grad(dofs, metric, z)[1])
-    n = frame.size
-    return frame, np.bincount(R * n + C, V, n * n).reshape(n, n)
 
 
 def length_gradient_norm(net: GammaNet, metric: Surface):
@@ -372,15 +372,8 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     if min(init.edge_lengths(metric)) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
 
-    def fg(z):
-        return _length_and_dof_grad(dofs, metric, z)
-
-    def hess(v):
-        # v -> N^T H N v on the triplets of the current frame
-        return np.bincount(R, V * v[C], v.size)
-
-    x = dofs.pack()
-    (f, g, _), n_grad, nit, radius, frame, status = fg(x), 1, 0, 1.0, None, "max_iter"
+    fg, x = partial(_length_and_dof_grad, dofs, metric), dofs.pack()
+    (f, g, _), n_grad, n_hess, nit, radius, frame, status = fg(x), 1, 0, 0, 1.0, None, "max_iter"
     while nit < max_iter and status == "max_iter":
         if np.linalg.norm(g) <= 0.1 * tol:
             status = "converged"
@@ -389,12 +382,11 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
             # vertices drag their edges: moving a vertex alone kinks the
             # segments next to it, and long steps then fold the polyline
             frame = _NormalDofs(dofs, x, drag=True)
-            R, C, V = frame.hessian(lambda z: fg(z)[1])
-            gr, n_grad = frame.restrict(g), n_grad + 2 * (frame.nv2 + 3)
+            H, gr, n_hess = frame.hessian(metric), frame.restrict(g), n_hess + 1
         gnorm = np.linalg.norm(gr)
-        p = _steihaug(hess, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
+        p = _steihaug(H.__matmul__, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
         x_new = x + frame.expand(p)
-        pred, (f_new, g_new, seg) = -(gr @ p + 0.5 * p @ hess(p)), fg(x_new)
+        pred, (f_new, g_new, seg) = -(gr @ p + 0.5 * p @ H @ p), fg(x_new)
         n_grad, nit = n_grad + 1, nit + 1
         rho = ((f - f_new) / pred if pred > _ROUNDING * f
                else float(np.linalg.norm(g_new) < np.linalg.norm(g)))
@@ -403,7 +395,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         elif rho > _GROW_ABOVE and np.linalg.norm(p) >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
-            x, frame = x_new, None
+            x, frame, H = x_new, None, None        # free the stale Hessian before the next
             if min(map(np.sum, np.split(seg, dofs.seg_bounds))) <= length_floor:
                 status = "collapsed"
             else:
@@ -416,8 +408,8 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     report = (StationarityReport(*[float("inf")] * 3) if status == "collapsed"
               else stationarity_residual(net, metric))
     status = "converged" if report.total_first_variation_norm <= tol else status
-    trace = [{"phase": "trust-region", "nit": nit, "n_grad": n_grad, "grad_norm": float(np.linalg.norm(g)),
-              "length": float(f), "seconds": time.perf_counter() - t0}]
+    trace = [{"phase": "trust-region", "nit": nit, "n_grad": n_grad, "n_hess": n_hess,
+              "grad_norm": float(np.linalg.norm(g)), "length": float(f), "seconds": time.perf_counter() - t0}]
     return SolveResult(net=net, report=report, converged=status == "converged", iterations=nit,
                        length=net.length(metric), trace=trace, message=_MESSAGES[status], status=status)
 
@@ -435,8 +427,8 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     steps have not settled within _TRACK_STEPS.
     """
     dofs = _Dofs(init, metric0)
-    frame, H = _free_vertex_hessian(dofs, metric0, dofs.pack())
-    P = _pseudo_inverse(H)
+    frame = _NormalDofs(dofs, dofs.pack(), drag=False)
+    P = _pseudo_inverse(frame.hessian(metric0))
 
     def track(metric):
         y = np.zeros(frame.size)
@@ -470,7 +462,7 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(gradient norm {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
     dofs = _Dofs(net, metric)
-    return np.linalg.eigvalsh(_free_vertex_hessian(dofs, metric, dofs.pack())[1])
+    return np.linalg.eigvalsh(_NormalDofs(dofs, dofs.pack(), drag=False).hessian(metric))
 
 
 def is_nondegenerate(net: GammaNet, metric: Surface, tol):

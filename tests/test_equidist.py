@@ -293,6 +293,12 @@ def test_rationalize_rejects_bad_lengths():
         rationalize([1.0], [0.0], 5)
 
 
+def test_rationalize_bounds_are_exact_for_a_float_m():
+    # d = 1, c = 0 meets 1/(m J L) in exact arithmetic by under 1e-16; a
+    # float m once rounded the bound below it and returned ([1], 2)
+    assert rationalize([0.4132919647191354], [0.92854592880299], 2.4195970049395448) == ([0], 1)
+
+
 @pytest.mark.parametrize("m", [0, -1, float("inf")])
 def test_rationalize_rejects_a_bad_m(m):
     # m = 0 divided by zero; m = -1 and m = inf made every bound negative

@@ -76,6 +76,15 @@ def test_average_integral_of_constant(torus):
     assert net.average_integral(fld, torus) == pytest.approx(7.0, rel=1e-12)
 
 
+def test_average_integral_measures_each_edge_once(torus, monkeypatch):
+    net = torus_theta_net([(1, 0), (0, 1), (-1, -1)])
+    fld = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
+    length, total, metric, calls = net.length(torus), net.integrate(fld, torus), torus.metric, []
+    monkeypatch.setattr(torus, "metric", lambda chart, x: calls.append(chart) or metric(chart, x))
+    assert net.average_integral(fld, torus) == total / length
+    assert len(calls) == len(net.graph.edges)
+
+
 def test_json_roundtrip(torus):
     net = torus_theta_net([(1, 0), (0, 1), (-1, -1)])
     back = GammaNet.from_json(net.to_json())

@@ -187,6 +187,18 @@ def _dense_normal_map(net, drag):
     return N
 
 
+def _cos_cos_torus(torus, t):
+    """The torus scaled by e^(2 t cos 2 pi x cos 2 pi y), with an analytic gradient."""
+    def grad(c, x):
+        cx, cy = np.cos(2 * np.pi * x[..., 0]), np.cos(2 * np.pi * x[..., 1])
+        sx, sy = np.sin(2 * np.pi * x[..., 0]), np.sin(2 * np.pi * x[..., 1])
+        return -2 * np.pi * np.stack([sx * cy, cx * sy], -1)
+
+    psi = ScalarField(lambda c, x: np.cos(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1]),
+                      grad_fn=grad)
+    return ConformalFamily(torus, [psi]).at([t])
+
+
 def test_reduced_hessian_equals_dense(torus, sphere, dumbbell):
     # 2 samples per edge: no interior samples, the vertices couple directly
     cases = [(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=s).reversed_edge(1), torus)
@@ -194,6 +206,7 @@ def test_reduced_hessian_equals_dense(torus, sphere, dumbbell):
     cases += [(torus_geodesic((2, 1), samples=40, mult=2), torus),
               (dumbbell_circle(dumbbell, 0.5, samples=48), dumbbell)]
     cases += [(sphere_latitude(sphere, 1.0, samples=s), sphere) for s in (17, 18, 40)]
+    cases.append((torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=16), _cos_cos_torus(torus, 0.2)))
     for (net, metric), drag in itertools.product(cases, (True, False)):
         dofs = _Dofs(net, metric)
         x, N = dofs.pack(), _dense_normal_map(net, drag)
@@ -206,13 +219,13 @@ def test_reduced_hessian_equals_dense(torus, sphere, dumbbell):
         def grad(z):
             return _length_and_dof_grad(dofs, metric, z)[1]
 
-        R, C, V = frame.hessian(grad)
-        H = np.zeros((frame.size, frame.size))
-        np.add.at(H, (R, C), V)
+        def column_differences(h):
+            return np.stack([(grad(x + h * c) - grad(x - h * c)) / (2 * h) for c in N.T], axis=1)
+
+        H = frame.hessian(metric)
         assert np.array_equal(H, H.T)
-        # one central difference per column of N
-        HN = np.stack([(grad(x + _FD_STEP * c) - grad(x - _FD_STEP * c)) / (2 * _FD_STEP)
-                       for c in N.T], axis=1)
+        # central differences per column of N, Richardson-extrapolated
+        HN = (4 * column_differences(5e-6) - column_differences(1e-5)) / 3
         ref = 0.5 * (N.T @ HN + HN.T @ N)
         assert np.max(np.abs(H - ref)) <= 1e-9 * np.max(np.abs(ref))
         # against the full Hessian, one central difference per dof: moving
@@ -299,11 +312,32 @@ def test_solve_trace_records_every_phase(torus):
     assert set(phases) <= {"trust-region"} and phases[0] == "trust-region"
     assert sum(e["nit"] for e in res.trace) == res.iterations
     for entry in res.trace:
-        assert set(entry) == {"phase", "nit", "n_grad", "grad_norm", "length", "seconds"}
+        assert set(entry) == {"phase", "nit", "n_grad", "n_hess", "grad_norm", "length", "seconds"}
         assert entry["n_grad"] >= entry["nit"] + 1 and entry["seconds"] >= 0.0
     assert res.trace[-1]["grad_norm"] == pytest.approx(res.report.total_first_variation_norm,
                                                        abs=1e-12)
     assert (res.status, res.message) == ("converged", "gradient below tolerance")
+
+
+def test_solve_trace_counts_gradients_and_hessians(torus, rng, monkeypatch):
+    calls = {"grad": 0, "hess": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_length_and_dof_grad", counted("grad", solver._length_and_dof_grad))
+    monkeypatch.setattr(_NormalDofs, "hessian", counted("hess", _NormalDofs.hessian))
+    res = solve_stationary(_perturb(torus_theta_net([(1, 0), (0, 1), (-1, -1)]), rng), torus)
+    (entry,) = res.trace
+    assert res.converged and 0 < entry["n_hess"] <= res.iterations
+    # the stationarity report of the result takes one more gradient
+    assert (entry["n_grad"] + 1, entry["n_hess"]) == (calls["grad"], calls["hess"])
+    # the first gradient, one per trial step and one per resampled accepted
+    # step; a Hessian at the start and after every accepted step but the last
+    assert entry["n_grad"] == 1 + res.iterations + entry["n_hess"]
 
 
 def test_net_on_foreign_charts_is_domain_error(sphere):
