@@ -5,12 +5,14 @@ vertex, then one per edge interior sample along its chord normal, with
 one Hessian scattered from the closed-form 4 x 4 Hessians of the
 segment lengths (the length is partially separable).
 The solver minimizes total (multiplicity-weighted) length by trust-region
-Newton steps (Steihaug's truncated CG) whose vertex dofs drag the samples
-of their edges by hat weights, resampling each edge to uniform arclength
-after every accepted step; the second-variation spectrum and the branch
-tracker move vertices alone.  Stationarity is reported as a discrete
-geodesic curvature per edge, a weighted inward-tangent balance per vertex
-and the l2 norm of the full length gradient.
+Newton steps (Steihaug's truncated CG, stopped at the quadratic forcing
+term min(0.5, |g|) |g|) whose vertex dofs drag the samples of their edges
+by hat weights; each trial point is resampled to uniform arclength per
+edge before its one gradient, which an accepted step keeps.  The
+second-variation spectrum and the branch tracker move vertices alone.
+Stationarity is reported as a discrete geodesic curvature per edge, a
+weighted inward-tangent balance per vertex and the l2 norm of the full
+length gradient.
 """
 
 from __future__ import annotations
@@ -114,6 +116,9 @@ class _Dofs:
         # the dof of each (segment end, coordinate): every segment's end, then its start
         tips = np.concatenate([self.pidx[self.seg + 1], self.pidx[self.seg]])
         self.scatter = (2 * tips[:, None] + np.arange(2)).ravel()
+        # the 4 full dofs of every segment: its end b, then its start a
+        self.segment_dofs = self.scatter.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 4)
+        self.reduced_size = 2 * self.nv + sum(self.interior_counts)
 
     def pack(self):
         x = np.empty((self.size // 2, 2))
@@ -138,6 +143,29 @@ class _Dofs:
         ends = [[self.vindex[e.endpoint(i)] for e in self.net.graph.edges] for i in (0, 1)]
         t = [np.arange(1, m + 1) / (m + 1) for m in self.interior_counts]
         return (*(np.repeat(v, self.interior_counts) for v in ends), np.concatenate(t))
+
+    @cached_property
+    def normal_cols(self):
+        """The rows of :class:`_NormalDofs`' N, which are the same at every
+        x and with or without drag: the three reduced dofs each full dof
+        reads, by (point, coordinate).  A vertex coordinate reads its own
+        dof (then two zero weights); an interior sample reads its normal
+        dof and the same coordinate of its edge's two vertices."""
+        (v0, v1, t), nv, xy = self.hat, self.nv, np.arange(2)
+        cols = np.zeros((nv + len(t), 2, 3), dtype=int)
+        cols[:nv, :, 0] = 2 * np.arange(nv)[:, None] + xy
+        cols[nv:, :, 0] = 2 * nv + np.arange(len(t))[:, None]
+        cols[nv:, :, 1], cols[nv:, :, 2] = 2 * v0[:, None] + xy, 2 * v1[:, None] + xy
+        return cols.reshape(-1, 3)
+
+    @cached_property
+    def hessian_index(self):
+        """Flat index into the reduced n x n Hessian of every term (s, i, p,
+        j, q): segment s, its full dofs i and j, their reduced dofs p and q.
+        Stored as int32 to halve what the dofs keep alive; n^2 < 2^31 for
+        every dense Hessian that fits in memory."""
+        c, n = self.normal_cols[self.segment_dofs], self.reduced_size
+        return (c[:, :, :, None, None] * n + c[:, None, None]).ravel().astype(np.int32)
 
     def resample(self, x):
         """``x`` with every edge's interior samples moved to uniform chart
@@ -169,16 +197,12 @@ class _NormalDofs:
     ``restrict`` its transpose and ``hessian`` the reduced N^T H N."""
 
     def __init__(self, dofs: _Dofs, x, drag):
-        self.dofs, self.x, normals = dofs, x, _chord_normals(dofs, x)
-        (v0, v1, t), nv, xy = dofs.hat, dofs.nv, np.arange(2)
-        self.size = 2 * nv + len(t)
-        # rows by (point, coordinate): the vertices, then the interior samples
-        cols, vals = np.zeros((nv + len(t), 2, 3), dtype=int), np.zeros((nv + len(t), 2, 3))
-        cols[:nv, :, 0], vals[:nv, :, 0] = 2 * np.arange(nv)[:, None] + xy, 1.0
-        cols[nv:, :, 0], vals[nv:, :, 0] = 2 * nv + np.arange(len(t))[:, None], normals
-        cols[nv:, :, 1], vals[nv:, :, 1] = 2 * v0[:, None] + xy, drag * (1.0 - t)[:, None]
-        cols[nv:, :, 2], vals[nv:, :, 2] = 2 * v1[:, None] + xy, drag * t[:, None]
-        self.cols, self.vals = cols.reshape(-1, 3), vals.reshape(-1, 3)
+        self.dofs, self.x, self.cols, self.size = dofs, x, dofs.normal_cols, dofs.reduced_size
+        (_, _, t), nv = dofs.hat, dofs.nv
+        vals = np.zeros((nv + len(t), 2, 3))
+        vals[:nv, :, 0], vals[nv:, :, 0] = 1.0, _chord_normals(dofs, x)
+        vals[nv:, :, 1], vals[nv:, :, 2] = drag * (1.0 - t)[:, None], drag * t[:, None]
+        self.vals = vals.reshape(-1, 3)
 
     def expand(self, y):
         return np.einsum("fk,fk->f", self.vals, y[self.cols])
@@ -189,11 +213,12 @@ class _NormalDofs:
     def hessian(self, metric: Surface):
         """Dense N^T H N of the length under ``metric``: each block of
         :func:`_segment_hessians` scattered through the rows of N by one
-        bincount, then made exactly symmetric."""
-        full, blocks = _segment_hessians(self.dofs, metric, self.x)
-        c, v, n = self.cols[full], self.vals[full], self.size
-        H = np.bincount((c[:, :, :, None, None] * n + c[:, None, None]).ravel(),
-                        np.einsum("sip,sij,sjq->sipjq", v, blocks, v).ravel(), n * n).reshape(n, n)
+        bincount over :attr:`_Dofs.hessian_index`, then made exactly
+        symmetric."""
+        v, n = self.vals[self.dofs.segment_dofs], self.size
+        blocks = _segment_hessians(self.dofs, metric, self.x)
+        H = np.bincount(self.dofs.hessian_index, np.einsum("sip,sij,sjq->sipjq", v, blocks, v).ravel(),
+                        n * n).reshape(n, n)
         H += H.T
         return 0.5 * H
 
@@ -215,8 +240,8 @@ def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
 
 
 def _segment_hessians(dofs: _Dofs, metric: Surface, x):
-    """The 4 full dofs of every segment (its end b, then its start a) and
-    the multiplicity-weighted 4 x 4 Hessian of its length L = sqrt(Q),
+    """The multiplicity-weighted 4 x 4 Hessian of every segment's length
+    in its full dofs :attr:`_Dofs.segment_dofs`, L = sqrt(Q),
     Q = D^T g(m) D, D = b - a, m = (a + b)/2: HL = HQ/2L - dQ dQ^T/4L^3
     with the safe L of :func:`_length_and_dof_grad`.  HQ has the blocks
     bb = 2g + P + P^T + S/4, aa = 2g - P - P^T + S/4, ab = -2g - P + P^T
@@ -233,13 +258,14 @@ def _segment_hessians(dofs: _Dofs, metric: Surface, x):
     P, q = np.einsum("skij,sj->sik", dg[0], delta), np.einsum("eskij,si,sj->esk", dg, delta, delta)
     S = np.stack([q[1] - q[3], q[2] - q[4]], -1) / (8 * _FD_STEP)
     g2, S, Pt = 2.0 * g, 0.5 * (S + np.swapaxes(S, 1, 2)), np.swapaxes(P, 1, 2)
-    HQ = np.block([[g2 + P + Pt + S, -g2 + P - Pt + S], [-g2 - P + Pt + S, g2 - P - Pt + S]])
+    HQ = np.empty((len(a), 4, 4))
+    HQ[:, :2, :2], HQ[:, :2, 2:] = g2 + P + Pt + S, -g2 + P - Pt + S
+    HQ[:, 2:, :2], HQ[:, 2:, 2:] = -g2 - P + Pt + S, g2 - P - Pt + S
     gd = np.einsum("sij,sj->si", g2, delta)
     dQ = np.concatenate([gd + 0.5 * q[0], -gd + 0.5 * q[0]], -1)
     L = np.sqrt(0.5 * np.einsum("si,si->s", delta, gd))
     L = np.where(L > 0.0, L, 1.0)[:, None, None]
-    H = (HQ / (2 * L) - dQ[:, :, None] * dQ[:, None, :] / (4 * L**3)) * dofs.mult[:, None, None]
-    return dofs.scatter.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 4), H
+    return (HQ / (2 * L) - dQ[:, :, None] * dQ[:, None, :] / (4 * L**3)) * dofs.mult[:, None, None]
 
 
 #: central-difference step of the second metric derivatives in the segment
@@ -358,12 +384,16 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
                      length_floor=None, require_good=True) -> SolveResult:
     """Minimize total length from an initial net by trust-region Newton
     steps on :class:`_NormalDofs`, until the length gradient is at most
-    ``0.1 * tol``.  ``status`` says why it stopped and ``trace`` holds one
+    ``0.1 * tol``; ``tol`` must be finite and positive.  Each trial point
+    is resampled to uniform arclength per edge and costs one gradient.
+    ``status`` says why it stopped and ``trace`` holds one
     entry.  When an edge collapses below the floor (default 1e-4 times
     the metric's injectivity lower bound) the result is flagged as not
     converged with a collapse message; a degenerate *initial* net raises
     DegenerateNetError, and a net on charts the metric lacks DomainError.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if require_good and not all(init.graph.is_good()):
         raise ValueError("initial graph is not good on every component")
     if length_floor is None:
@@ -373,7 +403,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         raise DegenerateNetError("initial net already below the edge length floor")
 
     fg, x = partial(_length_and_dof_grad, dofs, metric), dofs.pack()
-    (f, g, _), n_grad, n_hess, nit, radius, frame, status = fg(x), 1, 0, 0, 1.0, None, "max_iter"
+    (f, g, _), n_hess, nit, radius, frame, status = fg(x), 0, 0, 1.0, None, "max_iter"
     while nit < max_iter and status == "max_iter":
         if np.linalg.norm(g) <= 0.1 * tol:
             status = "converged"
@@ -384,10 +414,12 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
             frame = _NormalDofs(dofs, x, drag=True)
             H, gr, n_hess = frame.hessian(metric), frame.restrict(g), n_hess + 1
         gnorm = np.linalg.norm(gr)
-        p = _steihaug(H.__matmul__, gr, radius, min(0.5, np.sqrt(gnorm)) * gnorm)
-        x_new = x + frame.expand(p)
+        # forcing term min(0.5, |g|): quadratic local convergence
+        # (Nocedal-Wright, Theorem 7.2; Eisenstat-Walker 1996)
+        p = _steihaug(H.__matmul__, gr, radius, min(0.5, gnorm) * gnorm)
+        x_new = dofs.resample(x + frame.expand(p))
         pred, (f_new, g_new, seg) = -(gr @ p + 0.5 * p @ H @ p), fg(x_new)
-        n_grad, nit = n_grad + 1, nit + 1
+        nit += 1
         rho = ((f - f_new) / pred if pred > _ROUNDING * f
                else float(np.linalg.norm(g_new) < np.linalg.norm(g)))
         if rho < _SHRINK_BELOW:
@@ -395,12 +427,10 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
         elif rho > _GROW_ABOVE and np.linalg.norm(p) >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
-            x, frame, H = x_new, None, None        # free the stale Hessian before the next
+            # free the stale Hessian before the next
+            x, f, g, frame, H = x_new, f_new, g_new, None, None
             if min(map(np.sum, np.split(seg, dofs.seg_bounds))) <= length_floor:
                 status = "collapsed"
-            else:
-                x = dofs.resample(x)
-                (f, g, _), n_grad = fg(x), n_grad + 1
         elif radius <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
             status = "stalled"
 
@@ -408,7 +438,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     report = (StationarityReport(*[float("inf")] * 3) if status == "collapsed"
               else stationarity_residual(net, metric))
     status = "converged" if report.total_first_variation_norm <= tol else status
-    trace = [{"phase": "trust-region", "nit": nit, "n_grad": n_grad, "n_hess": n_hess,
+    trace = [{"phase": "trust-region", "nit": nit, "n_grad": 1 + nit, "n_hess": n_hess,
               "grad_norm": float(np.linalg.norm(g)), "length": float(f), "seconds": time.perf_counter() - t0}]
     return SolveResult(net=net, report=report, converged=status == "converged", iterations=nit,
                        length=net.length(metric), trace=trace, message=_MESSAGES[status], status=status)

@@ -92,7 +92,11 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     ("equidistribute", "[equidist]\nk_max = 0\n"),              # ValueError
     ("solve-net", "[surface]\nkind = sphere\n"),                # no torus net here
     ("solve-net", "[surface]\nkind = dumbbell\n"),
-], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell"])
+    ("solve-net", "[solver]\ntol = nan\n"),                    # once 2,000 iterations, exit 1
+    ("solve-net", "[solver]\ntol = 0\n"),
+    ("solve-net", "[solver]\ntol = -1\n"),
+], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell",
+        "tol-nan", "tol-0", "tol-negative"])
 def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
