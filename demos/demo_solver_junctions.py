@@ -1,14 +1,15 @@
 """Solve a triple-junction network on the flat torus and inspect it.
 
 Starts from a crude theta-shaped initializer, minimizes total length,
-and prints the junction angles (which settle at 120 degrees) together
-with the embeddedness certificate of the solved net.
+and prints the junction angles (which settle at 120 degrees), read from
+the solver's edge-end table, together with the embeddedness certificate
+of the solved net.
 """
 
 import numpy as np
 
 import geonets as gn
-from geonets.solver import _inward_tangents
+from geonets.solver import _edge_ends, _end_cosines
 
 
 def main():
@@ -20,12 +21,12 @@ def main():
     print(f"solved length:  {res.length:.10f} "
           f"(converged={res.converged}, residual={res.report.max_residual():.2e})")
 
-    for v, lst in _inward_tangents(res.net, torus).items():
-        units = [u for _, _, u, _ in lst]
-        angles = []
-        for a in range(len(units)):
-            for b in range(a + 1, len(units)):
-                angles.append(np.degrees(np.arccos(np.clip(units[a] @ units[b], -1, 1))))
+    # the pairwise angles of the inward unit tangents at each vertex, from
+    # the solver's edge-end table and its junction cosines
+    vertex, unit, g = _edge_ends(res.net, torus)
+    pairs, cos = _end_cosines(vertex, unit, g)
+    for k, v in enumerate(res.net.graph.vertices):
+        angles = [np.degrees(np.arccos(np.clip(cos[a][b], -1, 1))) for a, b in pairs if vertex[a] == k]
         print(f"vertex {v}: pairwise angles {[f'{x:.4f}' for x in angles]}")
 
     cert = gn.embeddedness_certificate(res.net, torus, M_bound=12)

@@ -120,8 +120,7 @@ def cmd_check_variation(args, cfg):
 
 
 def cmd_dumbbell(args, cfg):
-    neck = float(cfg.get("surface", "neck", fallback="0.2"))
-    base = surfaces.Dumbbell(neck=neck)
+    base = surfaces.Dumbbell(neck=surfaces.surface_parameter(cfg["surface"], "neck", 0.2))
     c = base.great_circle_length
     rows, slope_plus, slope_minus = minmax.dumbbell_kink(base)
     worst = max(r["rel_error"] for r in rows)

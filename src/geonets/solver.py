@@ -12,7 +12,10 @@ edge before its one gradient, which an accepted step keeps.  The
 second-variation spectrum and the branch tracker move vertices alone.
 Stationarity is reported as a discrete geodesic curvature per edge, a
 weighted inward-tangent balance per vertex and the l2 norm of the full
-length gradient.
+length gradient.  Every vertex condition reads one edge-end table (end r
+is endpoint r % 2 of edge r // 2: its vertex, unit inward tangent and g):
+the balance sums its tangents, and one set of pairwise cosines gives F2,
+the closed-geodesic pairing of opposite tangents and its transversality.
 """
 
 from __future__ import annotations
@@ -295,30 +298,50 @@ def length_gradient_norm(net: GammaNet, metric: Surface):
 # residuals
 # ---------------------------------------------------------------------------
 
-def _inward_tangents(net: GammaNet, metric: Surface):
-    """Per vertex: list of (edge index, endpoint, g-unit inward tangent,
-    chart point of the incident polyline end)."""
-    out = {v: [] for v in net.graph.vertices}
-    for i, e in enumerate(net.graph.edges):
-        chart, pts = net.edge_paths[i]
-        for endpoint, vec, at in ((0, pts[1] - pts[0], pts[0]),
-                                  (1, pts[-2] - pts[-1], pts[-1])):
-            g = metric.metric(chart, at)
-            nrm = float(np.sqrt(vec @ g @ vec))
-            if nrm == 0.0:
-                raise DegenerateNetError("zero tangent at a vertex")
-            out[e.endpoint(endpoint)].append((i, endpoint, vec / nrm, (chart, at)))
-    return out
+def _g_dot(u, g, w):
+    """g(u, w) row by row over stacks of vectors and metric tensors."""
+    return (u[:, None] @ g @ w[:, :, None])[:, 0, 0]
+
+
+def _edge_ends(net: GammaNet, metric: Surface):
+    """The edge-end table every vertex condition reads.  End r is endpoint
+    r % 2 of edge r // 2; the table holds its vertex (an index into
+    ``net.graph.vertices``), its g-unit inward tangent and g at the end,
+    from one ``metric`` call per chart."""
+    index = {v: k for k, v in enumerate(net.graph.vertices)}
+    vertex = np.array([index[v] for e in net.graph.edges for v in (e.v0, e.v1)])
+    tips = np.concatenate([pts.take((0, -1, 1, -2), axis=0) for _, pts in net.edge_paths])
+    tips = tips.reshape(-1, 2, 2, 2)        # edge, (end samples, their neighbours), endpoint, xy
+    at, inward = tips[:, 0].reshape(-1, 2), (tips[:, 1] - tips[:, 0]).reshape(-1, 2)
+    charts = [chart for chart, _ in net.edge_paths]
+    names, g = list(dict.fromkeys(charts)), np.empty((len(at), 2, 2))
+    for chart in names:
+        sel = np.repeat([c == chart for c in charts], 2) if len(names) > 1 else slice(None)
+        g[sel] = metric.metric(chart, at[sel])
+    norm = np.sqrt(_g_dot(inward, g, inward))
+    if not norm.all():
+        raise DegenerateNetError("zero tangent at a vertex")
+    return vertex, inward / norm[:, None], g
+
+
+def _end_cosines(vertex, unit, g):
+    """The pairs (a, b), a < b, of ends at one vertex, and the cosines
+    cos[a][b] = g(u_a, u_b) of every two inward tangents with g at end a,
+    as lists: the F2 junction angles, the opposite tangents of the
+    closed-geodesic pairing (for ends at one point |u_a + u_b|_g^2 =
+    2 + 2 cos) and its transversality test all read them."""
+    vertex = vertex.tolist()
+    pairs = [(a, b) for a in range(len(vertex)) for b in range(a + 1, len(vertex)) if vertex[a] == vertex[b]]
+    return pairs, ((unit[:, None] @ g)[:, 0] @ unit.T).tolist()
+
 
 def stationarity_residual(net: GammaNet, metric: Surface) -> StationarityReport:
     """Discrete geodesic curvature, vertex balance defect and gradient norm."""
     edge_res = 0.0
-    for i, _ in enumerate(net.graph.edges):
-        chart, pts = net.edge_paths[i]
+    for chart, pts in net.edge_paths:
         if pts.shape[0] < 3:
             continue
-        m = pts.shape[0] - 1
-        du = 1.0 / m
+        du = 1.0 / (pts.shape[0] - 1)
         x = pts[1:-1]
         acc = (pts[2:] - 2 * pts[1:-1] + pts[:-2]) / du**2
         vel = (pts[2:] - pts[:-2]) / (2 * du)
@@ -331,18 +354,16 @@ def stationarity_residual(net: GammaNet, metric: Surface) -> StationarityReport:
         av = np.einsum("si,sij,sj->s", a, g, vel)
         a_normal = a - (av / vv)[:, None] * vel
         kappa = np.sqrt(np.einsum("si,sij,sj->s", a_normal, g, a_normal)) / vv
-        edge_res = max(edge_res, float(np.max(kappa)) if len(kappa) else 0.0)
+        edge_res = max(edge_res, float(np.max(kappa)))
 
-    vertex_res = 0.0
-    for v, incid in _inward_tangents(net, metric).items():
-        if not incid:
-            continue
-        chart, at = incid[0][3]
-        g = metric.metric(chart, at)
-        s = np.zeros(2)
-        for i, _endpoint, unit, _ in incid:
-            s = s + net.graph.edges[i].mult * unit
-        vertex_res = max(vertex_res, float(np.sqrt(s @ g @ s)))
+    # weighted inward tangents summed per vertex (bin 2k + i holds coordinate
+    # i of vertex k) and measured by g at the vertex's first end
+    vertex, unit, g = _edge_ends(net, metric)
+    nv = len(net.graph.vertices)
+    mult = np.array([e.mult for e in net.graph.edges for _ in (0, 1)], dtype=float)
+    s = np.bincount((2 * vertex[:, None] + (0, 1)).ravel(), (mult[:, None] * unit).ravel(), 2 * nv)
+    s, first = s.reshape(nv, 2), np.argmax(vertex == np.arange(nv)[:, None], axis=1)
+    vertex_res = float(np.sqrt(np.max(_g_dot(s, g[first], s))))
 
     return StationarityReport(edge_res, vertex_res, length_gradient_norm(net, metric))
 
@@ -501,25 +522,17 @@ def is_nondegenerate(net: GammaNet, metric: Surface, tol):
     One exact null direction per single-loop component (the tangential
     slide of its base vertex) is excluded before testing min |lambda|.
     """
-    eig = second_variation_spectrum(net, metric)
+    eig = np.sort(np.abs(second_variation_spectrum(net, metric)))
     n_loops = 0
     for comp in net.graph.components():
-        edges = [net.graph.edges[i] for i in comp]
-        if len(edges) == 1 and edges[0].v0 == edges[0].v1:
-            n_loops += 1
-    order = np.argsort(np.abs(eig))
-    remaining = eig[order][n_loops:]
-    return bool(len(remaining) > 0 and np.min(np.abs(remaining)) > tol)
+        e = net.graph.edges[comp[0]]
+        n_loops += len(comp) == 1 and e.v0 == e.v1
+    return bool(eig.size > n_loops and eig[n_loops] > tol)
 
 
 # ---------------------------------------------------------------------------
 # embeddedness certificate
 # ---------------------------------------------------------------------------
-
-def _circle_dist(a, b):
-    d = np.abs(a - b)
-    return np.minimum(d, 1.0 - d)
-
 
 def _least_distance(metric, chart_p, P, chart_q, Q, keep):
     """Least distance over the pairs (P[a], Q[b]) with keep[a, b].
@@ -558,17 +571,11 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
     lengths = net.edge_lengths(metric)
     F1 = min(lengths)
 
-    incid = _inward_tangents(net, metric)
+    vertex, unit, g = _edge_ends(net, metric)
     F2 = {}
-    for v, lst in incid.items():
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                (e1, i1, u1, (chart, at)) = lst[a]
-                (e2, i2, u2, _) = lst[b]
-                g = metric.metric(chart, at)
-                val = float(u1 @ g @ u2)  # inner product of inward unit tangents
-                F2[((e1, i1), (e2, i2))] = val
-                F2[((e2, i2), (e1, i1))] = val
+    pairs, cos = _end_cosines(vertex, unit, g)
+    for a, b in pairs:
+        F2[divmod(a, 2), divmod(b, 2)] = F2[divmod(b, 2), divmod(a, 2)] = cos[a][b]
 
     params = [np.linspace(0.0, 1.0, pts.shape[0]) for _, pts in net.edge_paths]
 
@@ -576,36 +583,34 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
     for i, e in enumerate(edges):
         chart, pts = net.edge_paths[i]
         t = params[i]
-        sep = _circle_dist(t[:, None], t) if e.v0 == e.v1 else np.abs(t[:, None] - t)
+        sep = np.abs(t[:, None] - t)
+        if e.v0 == e.v1:
+            sep = np.minimum(sep, 1.0 - sep)      # a loop's parameter is a circle
         keep = np.triu(sep >= min(inj / lengths[i], 0.5) - 1e-12, 1)
         dE_min[i] = _least_distance(metric, chart, pts, chart, pts, keep)
 
-    dEE_min = {}
-    for i, e in enumerate(edges):
-        for j, ep in enumerate(edges):
+    dEE_min, edge_vertices = {}, vertex.reshape(-1, 2)
+    for i in range(len(edges)):
+        for j in range(len(edges)):
             if i == j:
                 continue
             (chart_i, pts_i), (chart_j, pts_j) = net.edge_paths[i], net.edge_paths[j]
             ti, tj = params[i], params[j]
             # a sample pair near a shared endpoint, within each edge's window
-            # from it, is excluded
+            # from it, is excluded: endpoint ii of edge j is endpoint jj of i
             keep = np.ones((ti.size, tj.size), dtype=bool)
-            for ii in (0, 1):
-                for jj in (0, 1):
-                    if ep.endpoint(ii) == e.endpoint(jj):
-                        keep &= ~((np.abs(ti - jj) <= inj / lengths[i])[:, None]
-                                  & (np.abs(tj - ii) < inj / lengths[j]))
+            for ii, jj in zip(*np.nonzero(edge_vertices[j][:, None] == edge_vertices[i])):
+                keep &= ~((np.abs(ti - jj) <= inj / lengths[i])[:, None]
+                          & (np.abs(tj - ii) < inj / lengths[j]))
             dEE_min[(i, j)] = _least_distance(metric, chart_i, pts_i, chart_j, pts_j, keep)
 
     C3 = 0.0
-    for i, _ in enumerate(edges):
-        chart, pts = net.edge_paths[i]
-        m = pts.shape[0] - 1
-        f = pts
-        d1 = np.gradient(f, 1.0 / m, axis=0)
-        d2 = np.gradient(d1, 1.0 / m, axis=0)
-        d3 = np.gradient(d2, 1.0 / m, axis=0)
-        C3 = max(C3, sum(float(np.max(np.linalg.norm(d, axis=1))) for d in (f, d1, d2, d3)))
+    for _, pts in net.edge_paths:
+        h = 1.0 / (pts.shape[0] - 1)
+        d1 = np.gradient(pts, h, axis=0)
+        d2 = np.gradient(d1, h, axis=0)
+        d3 = np.gradient(d2, h, axis=0)
+        C3 = max(C3, sum(float(np.max(np.linalg.norm(d, axis=1))) for d in (pts, d1, d2, d3)))
 
     satisfied = {
         2: C3 <= M,
@@ -628,101 +633,56 @@ def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None,
     """Check that tangent-matching relations concatenate the net into
     immersed circles with transverse self-intersections.
 
-    ``relations`` is a list of pairs ((edge_index, i1), (edge_index, i2));
-    with ``relations=None`` a pairing is searched automatically by
-    matching opposite inward tangents.  A supplied relation set that is
-    not a perfect pairing of the vertex incidences raises ValueError.
+    ``relations`` is a list of pairs ((edge_index, i1), (edge_index, i2)),
+    each pairing two edge ends at one vertex and every end once; any other
+    relation set raises ValueError.  With ``relations=None`` opposite
+    inward tangents are paired automatically.
     """
-    incid = _inward_tangents(net, metric)
-
+    vertex, unit, g = _edge_ends(net, metric)
+    pairs, cos = _end_cosines(vertex, unit, g)
+    vertex, names, partner = vertex.tolist(), net.graph.vertices, [-1] * len(vertex)
+    opposite = 0.5 * tol * tol - 1.0          # cos <= this iff |u_a + u_b|_g <= tol
     if relations is None:
-        relations = []
-        for v, lst in incid.items():
-            if len(lst) % 2 != 0:
-                return ClosedGeodesicResult(False, f"odd incidence degree at vertex {v!r}")
-            used = set()
-            for a in range(len(lst)):
-                if a in used:
-                    continue
-                e1, i1, u1, (chart, at) = lst[a]
-                g = metric.metric(chart, at)
-                found = None
-                for b in range(a + 1, len(lst)):
-                    if b in used:
-                        continue
-                    _, _, u2, _ = lst[b]
-                    if np.sqrt((u1 + u2) @ g @ (u1 + u2)) <= tol:
-                        found = b
-                        break
-                if found is None:
-                    return ClosedGeodesicResult(False, f"no opposite tangent match at vertex {v!r}")
-                used.update((a, found))
-                e2, i2, _, _ = lst[found]
-                relations.append(((e1, i1), (e2, i2)))
+        # greedily, each end takes the first later opposite end still free
+        for p, q in pairs:
+            if cos[p][q] <= opposite and partner[p] < 0 and partner[q] < 0:
+                partner[p], partner[q] = q, p
+        if -1 in partner:
+            k = min(v for v, q in zip(vertex, partner) if q < 0)
+            why = "odd incidence degree" if vertex.count(k) % 2 else "no opposite tangent match"
+            return ClosedGeodesicResult(False, f"{why} at vertex {names[k]!r}")
     else:
-        paired = {}
-        for (p1, p2) in relations:
-            for p in (p1, p2):
-                if p in paired:
-                    raise ValueError(f"endpoint {p} appears in two relations")
-                paired[p] = True
-        for v, lst in incid.items():
-            pts = {(e, i) for e, i, _, _ in lst}
-            covered = {p for p in paired if p in pts}
-            if covered != pts:
-                raise ValueError(f"relations are not a perfect pairing at vertex {v!r}")
-
-    # tangent matching on the supplied/constructed relations
-    unit = {}
-    where = {}
-    for v, lst in incid.items():
-        for e, i, u, loc in lst:
-            unit[(e, i)] = u
-            where[(e, i)] = loc
-    for (p1, p2) in relations:
-        chart, at = where[p1]
-        g = metric.metric(chart, at)
-        s = unit[p1] + unit[p2]
-        if np.sqrt(s @ g @ s) > tol:
-            return ClosedGeodesicResult(False, f"tangents do not match through {p1}/{p2}")
+        row = {divmod(r, 2): r for r in range(len(vertex))}
+        for rel in relations:
+            p, q = (row.get(tuple(end), -1) for end in rel)
+            if min(p, q) < 0 or p == q or max(partner[p], partner[q]) >= 0 or vertex[p] != vertex[q]:
+                raise ValueError(f"relation {rel} does not pair two edge ends of the net at one "
+                                 f"vertex, each end in one relation")
+            partner[p], partner[q] = q, p
+        if -1 in partner:
+            raise ValueError(f"relations are not a perfect pairing at vertex "
+                             f"{names[min(v for v, q in zip(vertex, partner) if q < 0)]!r}")
+        for p1, p2 in relations:
+            if cos[row[tuple(p1)]][row[tuple(p2)]] > opposite:
+                return ClosedGeodesicResult(False, f"tangents do not match through {p1}/{p2}")
 
     # transversality of all non-matched co-incident pairs
-    matched = {frozenset(r) for r in relations}
-    for v, lst in incid.items():
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                e1, i1, u1, (chart, at) = lst[a]
-                e2, i2, u2, _ = lst[b]
-                if frozenset(((e1, i1), (e2, i2))) in matched:
-                    continue
-                g = metric.metric(chart, at)
-                if abs(float(u1 @ g @ u2)) > 1.0 - tol:
-                    return ClosedGeodesicResult(False,
-                                                f"collinear tangents at vertex {v!r} are not transverse")
+    collinear = [vertex[p] for p, q in pairs if partner[p] != q and abs(cos[p][q]) > 1.0 - tol]
+    if collinear:
+        return ClosedGeodesicResult(False, f"collinear tangents at vertex {names[min(collinear)]!r} "
+                                           f"are not transverse")
 
-    # concatenate edges into circles along the pairing
-    succ = {}
-    for (p1, p2) in relations:
-        succ[p1] = p2
-        succ[p2] = p1
-    remaining = set(range(len(net.graph.edges)))
-    circles = []
-    while remaining:
-        e = min(remaining)
-        start = (e, 0)
-        walk = []
-        cur_edge, cur_start = e, 0
-        while True:
-            remaining.discard(cur_edge)
-            chart, pts = net.edge_paths[cur_edge]
-            path = pts if cur_start == 0 else pts[::-1]
-            walk.append((chart, path))
-            arrive = (cur_edge, 1 - cur_start)
-            nxt = succ[arrive]
-            cur_edge, cur_start = nxt
-            if (cur_edge, cur_start) == start:
-                break
-            if cur_edge not in remaining:
-                raise ValueError("relations do not close up into circles")
-        circles.append(walk)
+    # concatenate edges into circles along the pairing: leave each edge at
+    # its far end and enter the next at that end's partner, until the walk
+    # is back on its first edge (a perfect pairing visits each edge once)
+    circles, seen = [], set()
+    for start in range(0, len(partner), 2):
+        r, walk = start, []
+        while r // 2 not in seen:
+            seen.add(r // 2)
+            chart, pts = net.edge_paths[r // 2]
+            walk.append((chart, pts[::-1] if r % 2 else pts))
+            r = partner[r ^ 1]
+        if walk:
+            circles.append(walk)
     return ClosedGeodesicResult(True, "ok", circles)

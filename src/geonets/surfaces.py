@@ -738,25 +738,34 @@ def geodesic_distance(surface: Surface, p, q):
 # config loading
 # ---------------------------------------------------------------------------
 
+def surface_parameter(config, key, default):
+    """``config[key]``, or ``default`` when absent, as a finite positive
+    float: the one check of every numeric [surface] key."""
+    value = float(config.get(key, default))
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"surface {key} must be finite and positive, got {value!r}")
+    return value
+
+
 def load_surface(config) -> Surface:
     """Build a surface from a config mapping or a [surface] section.
 
     Recognized keys: ``kind`` (torus | sphere | dumbbell), ``radius``,
-    ``neck``, ``bell``, ``injectivity_bound``.
+    ``neck``, ``bell``, ``injectivity_bound``; the numeric ones pass
+    :func:`surface_parameter`.
     """
     if isinstance(config, configparser.ConfigParser):
         config = dict(config["surface"]) if config.has_section("surface") else dict(config.defaults())
     kind = str(config.get("kind", "torus")).lower()
     if kind == "torus":
-        surf = FlatTorus(injectivity_lower_bound=float(config.get("injectivity_bound", 0.5)))
+        surf = FlatTorus()
     elif kind == "sphere":
-        surf = Sphere(radius=float(config.get("radius", 1.0)))
-        if "injectivity_bound" in config:
-            surf.injectivity_lower_bound = float(config["injectivity_bound"])
+        surf = Sphere(radius=surface_parameter(config, "radius", 1.0))
     elif kind == "dumbbell":
-        surf = Dumbbell(neck=float(config.get("neck", 0.2)), bell=float(config.get("bell", 1.0)))
-        if "injectivity_bound" in config:
-            surf.injectivity_lower_bound = float(config["injectivity_bound"])
+        surf = Dumbbell(neck=surface_parameter(config, "neck", 0.2),
+                        bell=surface_parameter(config, "bell", 1.0))
     else:
         raise DomainError(f"unknown surface kind {kind!r}")
+    if "injectivity_bound" in config:
+        surf.injectivity_lower_bound = surface_parameter(config, "injectivity_bound", None)
     return surf

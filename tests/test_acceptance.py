@@ -12,7 +12,7 @@ import pytest
 import geonets as gn
 from geonets import cli
 from geonets.equidist import merged_block_ratios
-from geonets.solver import _inward_tangents
+from geonets.solver import _edge_ends, _end_cosines
 
 
 def _report(label, ok, detail):
@@ -62,13 +62,8 @@ def test_acceptance_02_flat_torus_geodesics(torus):
 
 def test_acceptance_03_vertex_balance(torus):
     res = gn.solve_stationary(gn.torus_theta_net([(1, 0), (0, 1), (-1, -1)]), torus)
-    worst_angle = 0.0
-    for v, lst in _inward_tangents(res.net, torus).items():
-        units = [u for _, _, u, _ in lst]
-        for a in range(len(units)):
-            for b in range(a + 1, len(units)):
-                ang = np.degrees(np.arccos(np.clip(units[a] @ units[b], -1, 1)))
-                worst_angle = max(worst_angle, abs(ang - 120.0))
+    pairs, cos = _end_cosines(*_edge_ends(res.net, torus))
+    worst_angle = max(abs(np.degrees(np.arccos(np.clip(cos[a][b], -1, 1))) - 120.0) for a, b in pairs)
     emb = gn.solve_stationary(gn.torus_theta_net([(1, 0), (0, 1), (0, 0)]), torus)
     cert = gn.embeddedness_certificate(emb.net, torus, M_bound=12)
     worst_f2 = max(abs(v + 0.5) for v in cert.F2_values.values())

@@ -95,8 +95,15 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     ("solve-net", "[solver]\ntol = nan\n"),                    # once 2,000 iterations, exit 1
     ("solve-net", "[solver]\ntol = 0\n"),
     ("solve-net", "[solver]\ntol = -1\n"),
+    ("partition", "[surface]\ninjectivity_bound = nan\n"),   # once exit 0
+    ("solve-net", "[surface]\ninjectivity_bound = nan\n"),   # once exit 0
+    ("partition", "[surface]\nkind = sphere\nradius = inf\n"),
+    ("dumbbell", "[surface]\nneck = nan\n"),                 # once exit 1 with NaN output
+    ("dumbbell", "[surface]\nneck = 0\n"),                   # once exit 0
+    ("dumbbell", "[surface]\nneck = -0.2\n"),                # once exit 0
 ], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell",
-        "tol-nan", "tol-0", "tol-negative"])
+        "tol-nan", "tol-0", "tol-negative", "inj-nan-partition", "inj-nan-solve",
+        "radius-inf", "neck-nan", "neck-0", "neck-negative"])
 def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

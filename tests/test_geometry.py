@@ -273,3 +273,12 @@ def test_load_surface_from_config():
     assert isinstance(load_surface({"kind": "dumbbell", "neck": "0.3"}), Dumbbell)
     with pytest.raises(DomainError):
         load_surface({"kind": "klein-bottle"})
+
+
+@pytest.mark.parametrize("kind, key", [("torus", "injectivity_bound"), ("sphere", "radius"),
+                                       ("sphere", "injectivity_bound"), ("dumbbell", "neck"),
+                                       ("dumbbell", "bell"), ("dumbbell", "injectivity_bound")])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.2"])
+def test_load_surface_rejects_a_bad_parameter(kind, key, value):
+    with pytest.raises(DomainError, match=key):
+        load_surface({"kind": kind, key: value})

@@ -18,8 +18,8 @@ from geonets import (ConformalFamily, DomainError, DumbbellWidthFamily, ScalarFi
                      solve_stationary, solver, sphere_latitude, stationarity_residual,
                      torus_geodesic, torus_theta_net)
 from geonets.nets import Edge, GammaNet, WeightedMultigraph
-from geonets.solver import (_FD_STEP, _Dofs, _length_and_dof_grad, _NormalDofs, _steihaug,
-                            length_gradient_norm, stationary_tracker)
+from geonets.solver import (_FD_STEP, _Dofs, _edge_ends, _end_cosines, _length_and_dof_grad,
+                            _NormalDofs, _steihaug, length_gradient_norm, stationary_tracker)
 
 
 # length of the stationary theta net spanned by shifts (1,0), (0,1), (-1,-1)
@@ -56,16 +56,17 @@ def test_theta_junction_solution(torus):
     assert res.length == pytest.approx(THETA_LENGTH, abs=1e-9)
 
 
+def _junction_cosines(net, metric):
+    """g(u_a, u_b) of every two ends a < b at one vertex."""
+    pairs, cos = _end_cosines(*_edge_ends(net, metric))
+    return np.array([cos[a][b] for a, b in pairs])
+
+
 def test_theta_junction_angles(torus):
-    from geonets.solver import _inward_tangents
     res = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)]), torus)
-    for v, lst in _inward_tangents(res.net, torus).items():
-        units = [u for _, _, u, _ in lst]
-        assert len(units) == 3
-        for a in range(3):
-            for b in range(a + 1, 3):
-                ang = np.degrees(np.arccos(np.clip(units[a] @ units[b], -1, 1)))
-                assert ang == pytest.approx(120.0, abs=0.1)
+    assert np.bincount(_edge_ends(res.net, torus)[0]).tolist() == [3, 3]
+    angles = np.degrees(np.arccos(np.clip(_junction_cosines(res.net, torus), -1, 1)))
+    assert angles == pytest.approx(np.full(6, 120.0), abs=0.1)
 
 
 def test_solver_rejects_collapse(torus):
@@ -622,18 +623,16 @@ def test_closed_geodesic_certificate_circle(torus):
     assert len(res.circles) == 1
 
 
-def _crossing_circles(torus):
-    """Two straight circles through a common vertex (a transverse crossing)."""
-    n = 65
-    t = np.linspace(0.0, 1.0, n)
-    px = np.stack([t, np.zeros(n)], axis=-1)          # class (1,0) through origin
-    py = np.stack([np.zeros(n), t], axis=-1)          # class (0,1) through origin
+def _figure_eight(k1, k2, offset=(0.0, 0.0), samples=65):
+    """Straight circles of classes k1 and k2 through one vertex at ``offset``."""
+    t, o = np.linspace(0.0, 1.0, samples)[:, None], np.asarray(offset, dtype=float)
     graph = WeightedMultigraph(["o"], [Edge("o", "o", 1), Edge("o", "o", 1)])
-    return GammaNet(graph, {"o": ("main", np.zeros(2))}, [("main", px), ("main", py)])
+    paths = [("main", o + t * np.asarray(k, dtype=float)) for k in (k1, k2)]
+    return GammaNet(graph, {"o": ("main", o)}, paths)
 
 
 def test_figure_eight_pairs_into_two_circles(torus):
-    net = _crossing_circles(torus)
+    net = _figure_eight((1, 0), (0, 1))
     res = closed_geodesic_certificate(net, torus)
     assert res.ok
     assert len(res.circles) == 2
@@ -647,24 +646,64 @@ def test_tripod_has_no_pairing(torus):
 
 
 def test_inconsistent_relations_raise(torus):
-    net = _crossing_circles(torus)
+    net = _figure_eight((1, 0), (0, 1))
     # pair the first circle's outgoing end with itself twice: not a pairing
     bad = [((0, 0), (0, 1)), ((0, 0), (1, 1))]
     with pytest.raises(ValueError):
         closed_geodesic_certificate(net, torus, relations=bad)
 
 
+def test_relations_across_two_vertices_raise(torus):
+    # each relation pairs the two ends of one theta edge, which sit at its
+    # two vertices: once accepted as three "circles" that were open edges
+    res = solve_stationary(torus_theta_net([(1, 0), (0, 1), (0, 0)]), torus)
+    rel = [((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1))]
+    with pytest.raises(ValueError, match="one vertex"):
+        closed_geodesic_certificate(res.net, torus, relations=rel)
+
+
+@pytest.mark.parametrize("end", [(5, 0), (0, 2), (-1, 0)])
+def test_relations_naming_no_edge_end_raise(torus, end):
+    # (5, 0) once raised KeyError
+    rel = [((0, 0), end), ((1, 0), (1, 1))]
+    with pytest.raises(ValueError, match="edge ends of the net"):
+        closed_geodesic_certificate(_figure_eight((1, 0), (0, 1)), torus, relations=rel)
+
+
 def test_tangent_strands_fail_transversality(torus):
     # two copies of the same circle through one vertex: strands collinear
-    n = 65
-    t = np.linspace(0.0, 1.0, n)
-    px = np.stack([t, np.zeros(n)], axis=-1)
-    graph = WeightedMultigraph(["o"], [Edge("o", "o", 1), Edge("o", "o", 1)])
-    net = GammaNet(graph, {"o": ("main", np.zeros(2))},
-                   [("main", px), ("main", px.copy())])
+    net = _figure_eight((1, 0), (1, 0))
     # force the pairing that keeps each copy its own circle; the crossing
     # strands of the other copy are then collinear, not transverse
     rel = [((0, 0), (0, 1)), ((1, 0), (1, 1))]
     out = closed_geodesic_certificate(net, torus, relations=rel)
     assert not out.ok
     assert "transverse" in out.reason
+
+
+FIGURE_EIGHTS = [((1, 0), (0, 1)), ((1, 1), (1, -1)), ((2, 1), (0, 1)), ((1, 0), (1, 2))]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(theta=st.booleans(), which=st.integers(0, 3), edge=st.integers(0, 2),
+       offset=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), c=st.floats(-0.5, 0.5),
+       samples=st.integers(3, 33))
+def test_edge_reversal_leaves_the_vertex_conditions(torus, theta, which, edge, offset, c, samples):
+    # reversing an edge renumbers its two ends in the edge-end table; the
+    # balance, the junction angles and the pairing must not notice
+    if theta:
+        net = torus_theta_net(FERMAT_TRIANGLES[which], offset=offset, samples=samples)
+    else:
+        net = _figure_eight(*FIGURE_EIGHTS[which], offset=offset, samples=samples)
+    rev = net.reversed_edge(edge % len(net.graph.edges))
+    wave = ScalarField(lambda chart, x: np.cos(2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]))
+    for metric in (torus, ConformalFamily(torus, [wave]).at([c])):
+        before, after = (stationarity_residual(n, metric).vertex_residual for n in (net, rev))
+        assert after == pytest.approx(before, abs=1e-15)
+        # the junction cosines F2 reads; the conformal g at the two ends of
+        # a loop differs by rounding, and reversal swaps which end is read
+        before, after = (np.sort(_junction_cosines(n, metric)) for n in (net, rev))
+        assert after == pytest.approx(before, abs=0.0 if metric is torus else 1e-14)
+        before, after = (closed_geodesic_certificate(n, metric) for n in (net, rev))
+        assert after.ok == before.ok == (not theta)
+        assert len(after.circles) == len(before.circles) == 2 * (not theta)
