@@ -216,8 +216,7 @@ def cmd_selftest(args, cfg):
 
     # conformal length law
     c = 0.37
-    scaled = surfaces.ConformalFamily(torus, [surfaces.constant_field(1.0)],
-                                      box_radius=1.0).at([c])
+    scaled = surfaces.ConformalFamily(torus, [surfaces.constant_field(1.0)]).at([c])
     if abs(net.length(scaled) - np.exp(c) * net.length(torus)) > 1e-10 * net.length(scaled):
         failures.append("conformal length law")
 
@@ -237,7 +236,7 @@ def cmd_selftest(args, cfg):
     sphere = surfaces.Sphere()
     psi = surfaces.ScalarField(lambda c_, x: np.sin(np.asarray(x)[..., 0])
                                * np.cos(np.asarray(x)[..., 1]))
-    fam = surfaces.ConformalFamily(sphere, [psi], box_radius=1.0).at([0.4])
+    fam = surfaces.ConformalFamily(sphere, [psi]).at([0.4])
     sample = rng.uniform(-1.0, 1.0, size=(10000, 2))
     g = fam.metric("north", sample)
     eig_min = np.min(np.linalg.eigvalsh(g))

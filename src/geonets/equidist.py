@@ -12,31 +12,19 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .nets import DegenerateNetError
 from .surfaces import (_QUAD_BLOCK, Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
-                       _det2, _root_surface, surface_average)
+                       _det2, _root_surface, _smoothstep, _smoothstep_deriv, surface_average)
 
 
 # ---------------------------------------------------------------------------
 # plateau profiles
 # ---------------------------------------------------------------------------
-
-def _smoothstep(s):
-    """Quintic plateau ramp: 0 -> 1 on [0, 1] with two vanishing derivatives."""
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
-def _smoothstep_deriv(s):
-    inside = (s > 0.0) & (s < 1.0)
-    sc = np.clip(s, 0.0, 1.0)
-    return np.where(inside, 30.0 * sc * sc * (1.0 - sc) ** 2, 0.0)
-
 
 def _bump_1d_periodic(x, lo, width, collar, period=1.0):
     """Plateau bump on a circle: 1 on [lo, lo+width], 0 beyond the collars."""
@@ -46,11 +34,11 @@ def _bump_1d_periodic(x, lo, width, collar, period=1.0):
     return np.where(u <= width, 1.0, np.where(u >= period - collar, up, down))
 
 
-def _bump_1d_periodic_deriv(x, lo, width, collar, period=1.0):
-    u = np.mod(np.asarray(x, dtype=float) - lo, period)
-    up = _smoothstep_deriv((u - (period - collar)) / collar) / collar
+def _bump_1d_periodic_deriv(x, lo, width, collar):
+    u = np.mod(np.asarray(x, dtype=float) - lo, 1.0)
+    up = _smoothstep_deriv((u - (1.0 - collar)) / collar) / collar
     down = -_smoothstep_deriv((u - width) / collar) / collar
-    return np.where(u <= width, 0.0, np.where(u >= period - collar, up, down))
+    return np.where(u <= width, 0.0, np.where(u >= 1.0 - collar, up, down))
 
 
 def _bump_1d(x, lo, hi, collar):
@@ -71,22 +59,17 @@ class BumpSystem:
     psi_k = phi_k / sum_l phi_l.
 
     A recipe subclass evaluates all K bumps in one broadcast
-    (:meth:`phi_values`, shape ``(K, ...)``); the per-bump fields
-    ``phi[k]`` and ``psi[k]`` read row k of it.
+    (:meth:`phi_values`, shape ``(K, ...)``); the per-bump field
+    ``psi[k]`` reads row k of :meth:`psi_values`.
     """
 
     K: int
     eps1: float
     regions: list                 # per-bump descriptors incl. center (chart, point)
     surface: Surface
-    labels: InitVar[list]         # cell label of every bump, for the field names
-    phi: list = field(init=False, repr=False, compare=False)
     psi: list = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, labels):
-        self.phi = [ScalarField(lambda c, x, k=k: self.phi_values(c, x)[k],
-                                grad_fn=lambda c, x, k=k: self._phi_grads(c, x)[k],
-                                name=f"phi[{label}]") for k, label in enumerate(labels)]
+    def __post_init__(self):
         self.psi = [ScalarField(lambda c, x, k=k: self.psi_values(c, x)[k],
                                 grad_fn=lambda c, x, k=k: self._psi_grads(c, x)[k],
                                 name=f"psi[{k}]") for k in range(self.K)]
@@ -159,24 +142,26 @@ class _TorusBumps(BumpSystem):
         return super()._volume_sums(chart, pts, dens)
 
 
-def _torus_partition(surface, eps1, K_min, collar_frac=0.2, n_max=64):
+#: collar of a plateau bump, as a share of its cell's side or sector
+_COLLAR_FRAC = 0.2
+
+
+def _torus_partition(surface, eps1, K_min):
     n = max(math.ceil(math.sqrt(2.0) / eps1), math.ceil(math.sqrt(K_min)))
-    if n > n_max:
+    if n > 64:
         raise ValueError(f"eps1 = {eps1} needs a {n}x{n} grid, beyond the "
-                         f"resolution budget {n_max}x{n_max}")
+                         "resolution budget 64x64")
     cell = 1.0 / n
-    collar = collar_frac * cell
-    regions, labels = [], []
+    collar = _COLLAR_FRAC * cell
+    regions = []
     for i in range(n):
         for j in range(n):
             lo = (i * cell, j * cell)
-            labels.append(f"{i},{j}")
             regions.append({"kind": "torus-cell", "i": i, "j": j, "cell": cell,
                             "collar": collar,
                             "center": ("main", np.array([lo[0] + cell / 2,
                                                          lo[1] + cell / 2]))})
-    return _TorusBumps(K=n * n, eps1=eps1, regions=regions, surface=surface,
-                       labels=labels, n=n, collar=collar)
+    return _TorusBumps(K=n * n, eps1=eps1, regions=regions, surface=surface, n=n, collar=collar)
 
 
 def _sphere_angles(sphere, chart, x):
@@ -214,12 +199,12 @@ class _SphereBumps(BumpSystem):
         return out.reshape((self.K,) + np.shape(x)[:-1])
 
 
-def _sphere_partition(surface, eps1, K_min, collar_frac=0.2):
+def _sphere_partition(surface, eps1, K_min):
     sphere = _root_surface(surface)
     R = sphere.radius
     n_theta = max(3, math.ceil(math.sqrt(2.0) * math.pi * R / eps1))
     dth = math.pi / n_theta
-    bands, band, sectors, regions, labels = [], [], [], [], []
+    bands, band, sectors, regions = [], [], [], []
     for i in range(n_theta):
         th_lo, th_hi = i * dth, (i + 1) * dth
         bands.append((th_lo, th_hi))
@@ -234,30 +219,30 @@ def _sphere_partition(surface, eps1, K_min, collar_frac=0.2):
         for j in range(n_sec):
             lam_lo = j * dlam
             band.append(i)
-            sectors.append((lam_lo, dlam, collar_frac * dlam))
+            sectors.append((lam_lo, dlam, _COLLAR_FRAC * dlam))
             lam_mid = lam_lo + dlam / 2
             center3 = R * np.array([math.sin(th_mid) * math.cos(lam_mid),
                                     math.sin(th_mid) * math.sin(lam_mid),
                                     math.cos(th_mid)])
             cchart = "north" if center3[2] >= 0 else "south"
             center = (cchart, sphere.unembed(cchart, center3))
-            labels.append(f"{i},{j}")
             regions.append({"kind": "sphere-cell", "band": i, "sector": j,
                             "theta": (th_lo, th_hi), "sectors": n_sec,
                             "center": center})
     K = len(regions)
     if K < K_min:
         raise ValueError(f"sphere partition at eps1 = {eps1} yields K = {K} < {K_min}")
-    return _SphereBumps(K=K, eps1=eps1, regions=regions, surface=surface, labels=labels,
-                        sphere=sphere, collar_th=collar_frac * dth, bands=np.array(bands),
+    return _SphereBumps(K=K, eps1=eps1, regions=regions, surface=surface,
+                        sphere=sphere, collar_th=_COLLAR_FRAC * dth, bands=np.array(bands),
                         band=np.array(band), sectors=np.array(sectors))
 
 
 def build_partition(metric: Surface, eps1, K_min=1) -> BumpSystem:
     """Cell partition with plateau bumps; every enlarged cell sits inside a
-    geodesic ball of radius eps1 around the recorded center."""
-    if eps1 >= metric.injectivity_lower_bound:
-        raise ValueError("eps1 must be below the injectivity lower bound")
+    geodesic ball of radius eps1 around the recorded center; ``eps1`` must
+    lie strictly between 0 and the injectivity lower bound."""
+    if not 0.0 < eps1 < metric.injectivity_lower_bound:
+        raise ValueError(f"eps1 must lie in (0, {metric.injectivity_lower_bound}), got {eps1!r}")
     root = _root_surface(metric)
     if isinstance(root, FlatTorus):
         return _torus_partition(metric, eps1, K_min)
@@ -282,7 +267,7 @@ class WeightedNetFamily:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.nets) != len(self.weights):
             raise ValueError("one weight per net required")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must be a convex combination")
         if self.integer_weights is not None:
             c, d = self.integer_weights
@@ -374,7 +359,7 @@ def _affine_min_norm(P):
     return sol[:m]
 
 
-def min_norm_point(P, tol=1e-12, max_iter=200):
+def min_norm_point(P):
     """Wolfe's algorithm: min-norm point of Conv(rows of P).
 
     Returns (weights over all rows, attained point).
@@ -384,11 +369,11 @@ def min_norm_point(P, tol=1e-12, max_iter=200):
     j0 = int(np.argmin(np.einsum("ij,ij->i", P, P)))
     support = [j0]
     w = np.array([1.0])
-    for _ in range(max_iter):
+    for _ in range(200):
         x = w @ P[support]
         dots = P @ x
         j = int(np.argmin(dots))
-        if x @ x - dots[j] <= tol * max(1.0, x @ x):
+        if x @ x - dots[j] <= 1e-12 * max(1.0, x @ x):
             break
         if j in support:
             break
@@ -450,22 +435,20 @@ class ConvexSearchResult:
     reason: str = ""
 
 
-def convex_gradient_search(samples, eta, radii=None) -> ConvexSearchResult:
+def convex_gradient_search(samples, eta) -> ConvexSearchResult:
     """N+1 gradients with a convex combination of norm below eta.
 
     ``samples`` is a list of (point, gradient in R^N).  Clusters are
-    balls around each sample point, tried over a decreasing radius
-    schedule; the first cluster whose gradient hull comes within eta of
-    the origin wins.
+    balls around each sample point, tried over the radii 1, 1/2, ...,
+    1/16 times the sample spread; the first cluster whose gradient hull
+    comes within eta of the origin wins.
     """
     pts = np.array([np.atleast_1d(p) for p, _ in samples], dtype=float)
     grads = np.array([np.atleast_1d(v) for _, v in samples], dtype=float)
     N = grads.shape[1]
-    if radii is None:
-        spread = np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)) if len(pts) > 1 else 1.0
-        radii = [max(spread, 1e-12) * f for f in (1.0, 0.5, 0.25, 0.125, 0.0625)]
+    spread = np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)) if len(pts) > 1 else 1.0
     any_cluster = False
-    for r in radii:
+    for r in (max(spread, 1e-12) * f for f in (1.0, 0.5, 0.25, 0.125, 0.0625)):
         for i in range(len(pts)):
             members = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=-1) <= r)
             if len(members) < N + 1:
@@ -494,7 +477,11 @@ def convex_gradient_search(samples, eta, radii=None) -> ConvexSearchResult:
 # rational weights
 # ---------------------------------------------------------------------------
 
-def rationalize(alphas, lengths, m, d_max=10**7):
+#: the largest common denominator :func:`rationalize` tries
+_D_MAX = 10**7
+
+
+def rationalize(alphas, lengths, m):
     """Smallest common denominator d with |alpha_j/L_j - c_j/d| < 1/(m J L_j).
 
     The strict bounds are re-verified in exact rational arithmetic on
@@ -510,17 +497,16 @@ def rationalize(alphas, lengths, m, d_max=10**7):
     targets = [Fraction(a) / Fraction(L) for a, L in zip(alphas, lengths)]
     bounds = [1 / (Fraction(m) * J * Fraction(L)) for L in lengths]
     d = 1
-    while d <= d_max:
+    while d <= _D_MAX:
         cs = [max(0, round(t * d)) for t in targets]
         if all(abs(t - Fraction(c, d)) < b for t, c, b in zip(targets, cs, bounds)):
             return [int(c) for c in cs], d
         d += 1
-    raise ValueError(f"no common denominator up to {d_max} meets the bounds")
+    raise ValueError(f"no common denominator up to {_D_MAX} meets the bounds")
 
 
-def rationalize_weights(family: WeightedNetFamily, metric: Surface, m,
-                        d_max=10**7):
-    c, d = rationalize(family.weights, family.lengths(metric), m, d_max=d_max)
+def rationalize_weights(family: WeightedNetFamily, metric: Surface, m):
+    c, d = rationalize(family.weights, family.lengths(metric), m)
     family.integer_weights = (c, d)
     return c, d
 
@@ -569,31 +555,31 @@ def merged_block_ratios(blocks, value_fn, length_fn):
     return np.asarray(out)
 
 
-def merge_sequences(blocks, metric: Surface = None, length_fn=None,
-                    max_emit=10**6):
+#: the most entries :func:`merge_sequences` emits
+_MAX_EMIT = 10**6
+
+
+def merge_sequences(blocks, length_fn):
     """Flatten weighted blocks into one sequence with late-block dominance.
 
-    ``blocks`` is a list of (nets, (c_list, d), m).  Block m's unit is
-    net j repeated c_j times; the unit is emitted R_m times, with R_m
-    from :func:`_merge_schedule`.  Returns (sequence, index_map) with
+    ``blocks`` is a list of (nets, (c_list, d), m) and ``length_fn(net)``
+    the length of one copy of a net.  Block m's unit is net j repeated
+    c_j times; the unit is emitted R_m times, with R_m from
+    :func:`_merge_schedule`.  Returns (sequence, index_map) with
     index_map[i] = (m, j).
 
     The schedule grows super-exponentially in m; when more than
-    ``max_emit`` entries would be emitted a ValueError is raised and the
-    closed-form :func:`merged_block_ratios` should be used instead.
+    :data:`_MAX_EMIT` entries would be emitted a ValueError is raised and
+    the closed-form :func:`merged_block_ratios` should be used instead.
     """
-    if length_fn is None:
-        if metric is None:
-            raise ValueError("either a metric or a length function is required")
-        length_fn = lambda net: net.length(metric)
     reps, _ = _merge_schedule(blocks, length_fn)
     sequence, index_map = [], []
     for (nets, (c_list, _d), m), r in zip(blocks, reps):
         unit = [(net, (m, j)) for j, (net, c) in enumerate(zip(nets, c_list))
                 for _ in range(c)]
-        if len(sequence) + r * len(unit) > max_emit:
+        if len(sequence) + r * len(unit) > _MAX_EMIT:
             raise ValueError(
-                f"merged sequence exceeds {max_emit} entries at block {m}; "
+                f"merged sequence exceeds {_MAX_EMIT} entries at block {m}; "
                 "use merged_block_ratios for the closed-form running ratio")
         for _ in range(r):
             for net, tag in unit:

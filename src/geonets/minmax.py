@@ -51,11 +51,11 @@ class ShortenResult:
 # sweepout recipes
 # ---------------------------------------------------------------------------
 
-def _torus_circles(k, c, axis, samples=64):
-    """k parallel coordinate circles at offsets c + j/k on the unit torus."""
+def _torus_circles(k, c, axis):
+    """k parallel 64-sample coordinate circles at offsets c + j/k on the unit torus."""
     verts = [f"v{j}" for j in range(k)]
     graph = WeightedMultigraph(verts, [Edge(v, v, 1) for v in verts])
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, 64)
     vp = {}
     paths = []
     for j, v in enumerate(verts):
@@ -69,7 +69,7 @@ def _torus_circles(k, c, axis, samples=64):
     return GammaNet(graph, vp, paths)
 
 
-def build_sweepout(surface: Surface, p, recipe, grid_size=None) -> Sweepout:
+def build_sweepout(surface: Surface, p, recipe) -> Sweepout:
     """Level-set sweepout families on the three model surfaces.
 
     Recipes: ``x-levels`` / ``y-levels`` (torus; for p > 1 the slice is
@@ -83,13 +83,13 @@ def build_sweepout(surface: Surface, p, recipe, grid_size=None) -> Sweepout:
             raise ValueError(f"recipe {recipe!r} needs a torus surface")
         k = math.ceil(math.sqrt(p))
         axis = "x" if recipe == "x-levels" else "y"
-        grid = np.linspace(0.0, 1.0 / k, grid_size or 33)
+        grid = np.linspace(0.0, 1.0 / k, 33)
         return Sweepout(p, grid, lambda c, k=k, axis=axis: _torus_circles(k, c, axis),
                         provenance=f"torus {recipe}, {k} parallel circles")
     if recipe == "latitude":
         if not isinstance(root, Sphere) or p != 1:
             raise ValueError("recipe 'latitude' needs a sphere surface and p = 1")
-        grid = np.linspace(0.0, np.pi, grid_size or 65)
+        grid = np.linspace(0.0, np.pi, 65)
 
         def cycle(colat):
             if colat <= 1e-12 or colat >= np.pi - 1e-12:
@@ -101,21 +101,20 @@ def build_sweepout(surface: Surface, p, recipe, grid_size=None) -> Sweepout:
         if not isinstance(root, Dumbbell) or p != 1:
             raise ValueError(f"recipe {recipe!r} needs a dumbbell surface and p = 1")
         if recipe == "profile":
-            grid = np.linspace(root.u_margin, 1.0 - root.u_margin, grid_size or 201)
+            grid = np.linspace(root.u_margin, 1.0 - root.u_margin, 201)
             tag = "dumbbell profile circles"
         else:
-            grid = 0.5 + 5e-4 * np.linspace(-1.0, 1.0, grid_size or 21)
+            grid = 0.5 + 5e-4 * np.linspace(-1.0, 1.0, 21)
             tag = "dumbbell waist-localized circles"
         return Sweepout(1, grid, lambda u: dumbbell_circle(root, u), provenance=tag)
     raise ValueError(f"unsupported recipe/surface pair: {recipe!r} on {root.name}")
 
 
-def minmax_upper_bound(sweepout: Sweepout, metric: Surface, polish=True,
-                       shorten=True) -> WidthEstimate:
+def minmax_upper_bound(sweepout: Sweepout, metric: Surface, shorten=True) -> WidthEstimate:
     """Maximize cycle length over the sweepout grid; an upper bound only.
 
-    The interior grid maximum is optionally refined by bounded scalar
-    maximization of the slice length, and the maximizing cycle is
+    An interior grid maximum is refined by bounded scalar maximization of
+    the slice length, and with ``shorten`` the maximizing cycle is
     shortened to extract a near-critical net.
     """
 
@@ -126,7 +125,7 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface, polish=True,
     lengths = np.array([slice_length(c) for c in sweepout.grid])
     i = int(np.argmax(lengths))
     best_c, best = float(sweepout.grid[i]), float(lengths[i])
-    if polish and 0 < i < len(sweepout.grid) - 1:
+    if 0 < i < len(sweepout.grid) - 1:
         from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(lambda c: -slice_length(c), method="bounded",
@@ -161,16 +160,16 @@ def _half_sweeps(m):
     return [b for b in blocks if b.size]
 
 
-def _birkhoff_sweep(metric: Surface, chart, y, offset, relax):
+def _birkhoff_sweep(metric: Surface, chart, y, offset):
     """One red-black Gauss-Seidel sweep, in place, over the open loop ``y``
-    closed by ``offset``: each point moves ``relax`` of the way to the
-    geodesic midpoint of its neighbours.  A parity class reads only the
-    other class, except that on an odd loop the last point neighbours
-    point 0 and so moves after the rest of its class."""
+    closed by ``offset``: each point moves half way to the geodesic
+    midpoint of its neighbours.  A parity class reads only the other
+    class, except that on an odd loop the last point neighbours point 0
+    and so moves after the rest of its class."""
     for idx in _half_sweeps(y.shape[0]):
         ext = np.vstack([y[-1] - offset, y, y[0] + offset])
         mid = metric.geodesic_midpoint(chart, ext[idx], ext[idx + 2])
-        y[idx] = (1.0 - relax) * y[idx] + relax * mid
+        y[idx] = 0.5 * y[idx] + 0.5 * mid
 
 
 #: Birkhoff sweeps go on while one lowers the total length by at least
@@ -178,28 +177,24 @@ def _birkhoff_sweep(metric: Surface, chart, y, offset, relax):
 _HANDOFF_DROP = 1e-4
 
 
-def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-8,
-                     max_sweeps=4000, collapse_floor=None) -> ShortenResult:
+def birkhoff_shorten(cycle: GammaNet, metric: Surface) -> ShortenResult:
     """Shorten the loop edges of a cycle: Birkhoff sweeps to get close,
     trust-region Newton to finish.
 
     Every edge must be a loop; closure offsets (lattice shifts on
-    periodic charts) are preserved.  Midpoint-geodesic sweeps
+    periodic charts) are preserved.  Up to 4000 midpoint-geodesic sweeps
     (:func:`_birkhoff_sweep`) run while a sweep lowers the total length by
     at least :data:`_HANDOFF_DROP` of it, and flag a collapse as soon as
-    any loop drops below the collapse floor (1e-3 x injectivity bound by
-    default).  The loops then go to :func:`~geonets.solver.solve_stationary`
-    with length-gradient tolerance ``tol`` and an edge floor of half the
-    shortest loop.  Should Newton trip that floor (it slides off a saddle
-    such as the sphere's equator), the Birkhoff loops are returned with
+    any loop drops below 1e-3 x the injectivity bound.  The loops then go
+    to :func:`~geonets.solver.solve_stationary` at its default tolerance
+    with an edge floor of half the shortest loop.  Should Newton trip
+    that floor (it slides off a saddle such as the sphere's equator), the Birkhoff loops are returned with
     ``stalled`` set; otherwise Newton's net is, and ``stalled`` says it
     did not converge.  ``sweeps`` counts the Birkhoff sweeps.
     """
     for e in cycle.graph.edges:
         if e.v0 != e.v1:
             raise ValueError("birkhoff_shorten expects a union of loop edges")
-    if collapse_floor is None:
-        collapse_floor = 1e-3 * metric.injectivity_lower_bound
 
     loops = [(chart, pts[:-1].copy(), pts[-1] - pts[0]) for chart, pts in cycle.edge_paths]
 
@@ -208,12 +203,12 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-8,
 
     lengths = [loop_length(*lp) for lp in loops]
     prev, sweeps, collapsed = sum(lengths), 0, False
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, 4001):
         for lp in loops:
-            _birkhoff_sweep(metric, *lp, relax)
+            _birkhoff_sweep(metric, *lp)
         lengths = [loop_length(*lp) for lp in loops]
         cur = sum(lengths)
-        if min(lengths) < collapse_floor:
+        if min(lengths) < 1e-3 * metric.injectivity_lower_bound:
             collapsed = True
         if collapsed or prev - cur < _HANDOFF_DROP * cur:
             break
@@ -225,7 +220,7 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface, relax=0.5, tol=1e-8,
         net.vertex_points[e.v0] = (chart, y[0].copy())
     if collapsed:
         return ShortenResult(net=net, length=sum(lengths), collapsed=True, sweeps=sweeps)
-    res = solve_stationary(net, metric, tol=tol, length_floor=0.5 * min(lengths))
+    res = solve_stationary(net, metric, length_floor=0.5 * min(lengths))
     if res.status == "collapsed":
         return ShortenResult(net=net, length=sum(lengths), collapsed=False, sweeps=sweeps,
                              stalled=True)
@@ -293,15 +288,14 @@ class WeylTable:
         return [r[key] for r in self.rows if r["p"] == p]
 
 
-def weyl_ratio_probe(family, p_list, t_grid, recipe="x-levels", vol_n=256,
-                     shorten=False) -> WeylTable:
-    """h_p(t) = p^{-1/2} x (width upper bound) / Vol^{1/2} over a t-grid."""
+def weyl_ratio_probe(family, p_list, t_grid) -> WeylTable:
+    """h_p(t) = p^{-1/2} x (x-levels width upper bound) / Vol^{1/2} over a t-grid."""
     rows = [[] for _ in p_list]            # per p, so the table stays p-major
     for t in t_grid:
         metric = family.at(t)
-        vol = volume(metric, n=vol_n)
+        vol = volume(metric)
         for p, p_rows in zip(p_list, rows):
-            est = minmax_upper_bound(build_sweepout(metric, p, recipe), metric, shorten=shorten)
+            est = minmax_upper_bound(build_sweepout(metric, p, "x-levels"), metric, shorten=False)
             p_rows.append({"p": p, "t": float(t),
                            "upper_bound": est.upper_bound,
                            "shortened_length": est.shortened_length,

@@ -94,8 +94,8 @@ def loop_graph(mult=1):
     return WeightedMultigraph(["v"], [Edge("v", "v", mult)])
 
 
-def theta_graph(mults=(1, 1, 1)):
-    return WeightedMultigraph(["a", "b"], [Edge("a", "b", m) for m in mults])
+def theta_graph():
+    return WeightedMultigraph(["a", "b"], [Edge("a", "b") for _ in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +184,15 @@ class GammaNet:
 
     # -- reparametrization -------------------------------------------------
 
-    def resample(self, metric: Surface, samples_per_edge):
-        """Arclength-uniform resampling of every edge polyline."""
-        if np.isscalar(samples_per_edge):
-            samples_per_edge = [int(samples_per_edge)] * len(self.edge_paths)
+    def resample(self, metric: Surface, samples):
+        """Arclength-uniform resampling of every edge polyline to ``samples`` points."""
         new_paths = []
-        for i, (chart, pts) in enumerate(self.edge_paths):
+        for chart, pts in self.edge_paths:
             seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
             s = np.concatenate([[0.0], np.cumsum(seg)])
             if s[-1] == 0.0:
                 raise DegenerateNetError("cannot resample a zero-length edge")
-            target = np.linspace(0.0, s[-1], samples_per_edge[i])
+            target = np.linspace(0.0, s[-1], samples)
             new = np.stack([np.interp(target, s, pts[:, k]) for k in range(2)], axis=-1)
             new_paths.append((chart, new))
         return GammaNet(self.graph, self.vertex_points, new_paths)
@@ -233,19 +231,26 @@ class GammaNet:
 # model net constructors
 # ---------------------------------------------------------------------------
 
+def _torus_point(offset):
+    """``offset`` as a torus chart point, which must have shape (2,)."""
+    point = np.asarray(offset, dtype=float)
+    if point.shape != (2,):
+        raise ValueError(f"offset must be a point (x, y), got {offset!r}")
+    return point
+
+
 def torus_geodesic(klass, offset=(0.0, 0.0), samples=128, mult=1):
     """Straight closed curve of homotopy class (a, b) on the flat torus."""
     a, b = klass
     t = np.linspace(0.0, 1.0, samples)
-    base = np.asarray(offset, dtype=float)
+    base = _torus_point(offset)
     pts = base + np.outer(t, [float(a), float(b)])
     return GammaNet(loop_graph(mult), {"v": ("main", base)}, [("main", pts)])
 
 
-def sphere_latitude(sphere, colat, samples=256, chart=None):
-    """Latitude circle at colatitude ``colat`` (angle from the chart pole)."""
-    if chart is None:
-        chart = "north" if colat <= np.pi / 2 else "south"
+def sphere_latitude(sphere, colat, samples=256):
+    """Latitude circle at colatitude ``colat``, in the chart of the nearer pole."""
+    chart = "north" if colat <= np.pi / 2 else "south"
     ang = colat if chart == "north" else np.pi - colat
     rho = np.tan(ang / 2.0)
     t = np.linspace(0.0, 2 * np.pi, samples)
@@ -260,15 +265,16 @@ def dumbbell_circle(dumbbell, u, samples=256):
     return GammaNet(loop_graph(), {"v": ("main", pts[0].copy())}, [("main", pts)])
 
 
-def torus_theta_net(shifts, d0=(0.25, 0.25), offset=(0.0, 0.0), samples=48):
-    """Theta-type net on the torus: two vertices joined by three edges.
+def torus_theta_net(shifts, offset=(0.0, 0.0), samples=48):
+    """Theta-type net on the torus: two vertices, ``a`` at ``offset`` and
+    ``b`` at ``a + (1/4, 1/4)``, joined by three edges.
 
     Edge j runs straight from vertex ``a`` to the representative
     ``b + shifts[j]`` of vertex ``b``; distinct lattice shifts place the
     edges in distinct homotopy classes.
     """
-    a = np.asarray(offset, dtype=float)
-    b = a + np.asarray(d0, dtype=float)
+    a = _torus_point(offset)
+    b = a + 0.25
     paths = []
     for s in shifts:
         tgt = b + np.asarray(s, dtype=float)

@@ -401,11 +401,11 @@ def _steihaug(matvec, g, radius, tol):
     return p
 
 
-def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
-                     length_floor=None, require_good=True) -> SolveResult:
+def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, length_floor=None) -> SolveResult:
     """Minimize total length from an initial net by trust-region Newton
     steps on :class:`_NormalDofs`, until the length gradient is at most
-    ``0.1 * tol``; ``tol`` must be finite and positive.  Each trial point
+    ``0.1 * tol`` or 2000 steps have run; ``tol`` must be finite and
+    positive, and every component of the graph good.  Each trial point
     is resampled to uniform arclength per edge and costs one gradient.
     ``status`` says why it stopped and ``trace`` holds one
     entry.  When an edge collapses below the floor (default 1e-4 times
@@ -415,7 +415,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if require_good and not all(init.graph.is_good()):
+    if not all(init.graph.is_good()):
         raise ValueError("initial graph is not good on every component")
     if length_floor is None:
         length_floor = 1e-4 * metric.injectivity_lower_bound
@@ -425,7 +425,7 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, max_iter=2000,
 
     fg, x = partial(_length_and_dof_grad, dofs, metric), dofs.pack()
     (f, g, _), n_hess, nit, radius, frame, status = fg(x), 0, 0, 1.0, None, "max_iter"
-    while nit < max_iter and status == "max_iter":
+    while nit < 2000 and status == "max_iter":
         if np.linalg.norm(g) <= 0.1 * tol:
             status = "converged"
             break
@@ -628,8 +628,11 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
 # closed geodesic certificate
 # ---------------------------------------------------------------------------
 
-def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None,
-                                tol=1e-6) -> ClosedGeodesicResult:
+#: tangent match and transversality tolerance of the closed-geodesic pairing
+_MATCH_TOL = 1e-6
+
+
+def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None) -> ClosedGeodesicResult:
     """Check that tangent-matching relations concatenate the net into
     immersed circles with transverse self-intersections.
 
@@ -641,7 +644,7 @@ def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None,
     vertex, unit, g = _edge_ends(net, metric)
     pairs, cos = _end_cosines(vertex, unit, g)
     vertex, names, partner = vertex.tolist(), net.graph.vertices, [-1] * len(vertex)
-    opposite = 0.5 * tol * tol - 1.0          # cos <= this iff |u_a + u_b|_g <= tol
+    opposite = 0.5 * _MATCH_TOL**2 - 1.0      # cos <= this iff |u_a + u_b|_g <= _MATCH_TOL
     if relations is None:
         # greedily, each end takes the first later opposite end still free
         for p, q in pairs:
@@ -667,7 +670,7 @@ def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None,
                 return ClosedGeodesicResult(False, f"tangents do not match through {p1}/{p2}")
 
     # transversality of all non-matched co-incident pairs
-    collinear = [vertex[p] for p, q in pairs if partner[p] != q and abs(cos[p][q]) > 1.0 - tol]
+    collinear = [vertex[p] for p, q in pairs if partner[p] != q and abs(cos[p][q]) > 1.0 - _MATCH_TOL]
     if collinear:
         return ClosedGeodesicResult(False, f"collinear tangents at vertex {names[min(collinear)]!r} "
                                            f"are not transverse")

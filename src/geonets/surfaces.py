@@ -45,15 +45,15 @@ class ScalarField:
     def value(self, chart, x):
         return np.asarray(self._fn(chart, np.asarray(x, dtype=float)))
 
-    def grad(self, chart, x, h=1e-6):
+    def grad(self, chart, x):
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(chart, np.asarray(x, dtype=float)))
         x = np.asarray(x, dtype=float)
         cols = []
         for k in range(2):
             dx = np.zeros(2)
-            dx[k] = h
-            cols.append((self.value(chart, x + dx) - self.value(chart, x - dx)) / (2 * h))
+            dx[k] = 1e-6
+            cols.append((self.value(chart, x + dx) - self.value(chart, x - dx)) / 2e-6)
         return np.stack(cols, axis=-1)
 
 
@@ -134,11 +134,11 @@ class Surface:
 
     # -- chart bookkeeping -------------------------------------------------
 
-    def eval_metric(self, chart, x, check=True):
+    def eval_metric(self, chart, x):
         if chart not in self.charts:
             raise DomainError(f"unknown chart {chart!r} on {self.name}")
         x = np.asarray(x, dtype=float)
-        if check and not np.all(self.charts[chart].contains(x)):
+        if not np.all(self.charts[chart].contains(x)):
             raise DomainError(f"point outside chart {chart!r} domain on {self.name}")
         return self.metric(chart, x)
 
@@ -262,10 +262,10 @@ class FlatTorus(Surface):
 
     name = "torus"
 
-    def __init__(self, injectivity_lower_bound=0.5):
+    def __init__(self):
         super().__init__()
         self.charts = {"main": Chart("main", np.zeros(2), np.ones(2), (True, True))}
-        self.injectivity_lower_bound = injectivity_lower_bound
+        self.injectivity_lower_bound = 0.5
 
     def metric(self, chart, x):
         x = np.asarray(x, dtype=float)
@@ -315,11 +315,10 @@ class Sphere(Surface):
 
     name = "sphere"
 
-    def __init__(self, radius=1.0, chart_extent=3.0):
+    def __init__(self, radius=1.0):
         super().__init__()
         self.radius = float(radius)
-        lo = -chart_extent * np.ones(2)
-        hi = chart_extent * np.ones(2)
+        lo, hi = np.full(2, -3.0), np.full(2, 3.0)
         self.charts = {"north": Chart("north", lo, hi), "south": Chart("south", lo, hi)}
         self.injectivity_lower_bound = np.pi * self.radius
 
@@ -433,23 +432,18 @@ class Dumbbell(Surface):
     """
 
     name = "dumbbell"
+    #: the quadrature and the profile sweepout keep this far from the poles
+    u_margin = 0.02
 
-    def __init__(self, neck=0.2, bell=1.0, u_margin=0.02):
+    def __init__(self, neck=0.2, bell=1.0):
         super().__init__()
         self.neck = float(neck)
         self.bell = float(bell)
-        self.u_margin = float(u_margin)
         self.charts = {"main": Chart("main", np.zeros(2), np.array([1.0, 2 * np.pi]),
                                      (False, True))}
         self.injectivity_lower_bound = self.neck
-        us = np.linspace(0.0, 0.5, 4001)
-        rs = self.profile(us)
-        i = int(np.argmax(rs))
-        self.u_equator1 = float(us[i])
-        self.u_equator2 = 1.0 - self.u_equator1
-        self.r_max = float(rs[i])
         #: circumference of the longest parallel circle on one bell
-        self.great_circle_length = 2 * np.pi * self.r_max
+        self.great_circle_length = 2 * np.pi * float(np.max(self.profile(np.linspace(0.0, 0.5, 4001))))
 
     def profile(self, u):
         u = np.asarray(u, dtype=float)
@@ -565,10 +559,9 @@ def _root_surface(surface: Surface) -> Surface:
 class ConformalFamily:
     """K-parameter conformal family ``ghat(t) = e^{2 sum_k t_k psi_k} g``."""
 
-    def __init__(self, base: Surface, weights: list[ScalarField], box_radius=1.0):
+    def __init__(self, base: Surface, weights: list[ScalarField]):
         self.base = base
         self.weights = list(weights)
-        self.box_radius = float(box_radius)
 
     @property
     def K(self):
@@ -578,8 +571,8 @@ class ConformalFamily:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.shape != (self.K,):
             raise DomainError(f"parameter must have {self.K} components")
-        if np.any(np.abs(t) >= self.box_radius):
-            raise DomainError("parameter outside the (-delta, delta)^K box")
+        if not np.all(np.abs(t) < 1.0):
+            raise DomainError("parameter outside the (-1, 1)^K box")
         return t
 
     def at(self, t) -> Surface:
@@ -612,6 +605,18 @@ class ConformalFamily:
         return tensor
 
 
+def _smoothstep(s):
+    """Quintic plateau ramp: 0 -> 1 on [0, 1] with two vanishing derivatives."""
+    s = np.clip(s, 0.0, 1.0)
+    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+
+
+def _smoothstep_deriv(s):
+    inside = (s > 0.0) & (s < 1.0)
+    sc = np.clip(s, 0.0, 1.0)
+    return np.where(inside, 30.0 * sc * sc * (1.0 - sc) ** 2, 0.0)
+
+
 class DumbbellWidthFamily:
     """Dumbbell family scaled by (1+t) on one bell and (1-t) on the other.
 
@@ -621,24 +626,20 @@ class DumbbellWidthFamily:
     the one-width picks up the kink  c * (1 + |t|)  at t = 0.
     """
 
-    def __init__(self, base: Dumbbell, band=0.1):
+    #: half-width of the neck band the ramp crosses
+    band = 0.1
+
+    def __init__(self, base: Dumbbell):
         self.base = base
-        self.band = float(band)
-        self.box_radius = 1.0
 
     def ramp(self, u):
         """beta(u): +1 for u < 1/2 - band, -1 for u > 1/2 + band."""
-        u = np.asarray(u, dtype=float)
-        s = np.clip((u - (0.5 - self.band)) / (2 * self.band), 0.0, 1.0)
-        smooth = s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-        return 1.0 - 2.0 * smooth
+        s = (np.asarray(u, dtype=float) - (0.5 - self.band)) / (2 * self.band)
+        return 1.0 - 2.0 * _smoothstep(s)
 
     def ramp_deriv(self, u):
-        u = np.asarray(u, dtype=float)
-        s = (u - (0.5 - self.band)) / (2 * self.band)
-        inside = (s > 0.0) & (s < 1.0)
-        ds = 30.0 * s * s * (1.0 - s) ** 2 / (2 * self.band)
-        return np.where(inside, -2.0 * ds, 0.0)
+        s = (np.asarray(u, dtype=float) - (0.5 - self.band)) / (2 * self.band)
+        return -_smoothstep_deriv(s) / self.band
 
     def at(self, t) -> Surface:
         t = float(np.squeeze(t))
@@ -699,28 +700,23 @@ def _area_integrals(surface: Surface, n, fld: ScalarField | None):
     return np.array([math.fsum(col) for col in zip(*parts)])
 
 
-def _richardson(surface: Surface, n, fld=None, richardson=True):
+def _richardson(surface: Surface, n, fld):
     """:func:`_area_integrals` with the h^2 error term cancelled by a
     second grid of twice the resolution."""
-    v1 = _area_integrals(surface, n, fld)
-    if not richardson:
-        return v1
-    return (4.0 * _area_integrals(surface, 2 * n, fld) - v1) / 3.0
+    return (4.0 * _area_integrals(surface, 2 * n, fld) - _area_integrals(surface, n, fld)) / 3.0
 
 
-def volume(surface: Surface, n=256, richardson=True):
-    """Total Riemannian area by composite midpoint quadrature.
-
-    With ``richardson`` (default) the h^2 error term is cancelled by a
-    second evaluation at twice the resolution; deterministic for a fixed
-    ``n``.
+def volume(surface: Surface, n=256):
+    """Total Riemannian area by composite midpoint quadrature on the n-grid,
+    its h^2 error term cancelled by a second evaluation at twice the
+    resolution; deterministic for a fixed ``n``.
     """
-    return float(_richardson(surface, n, richardson=richardson)[0])
+    return float(_richardson(surface, n, None)[0])
 
 
-def surface_integral(surface: Surface, fld: ScalarField, n=256, richardson=True):
+def surface_integral(surface: Surface, fld: ScalarField, n=256):
     """Integral of a scalar field over the surface (same rule as volume)."""
-    return float(_richardson(surface, n, fld, richardson)[1])
+    return float(_richardson(surface, n, fld)[1])
 
 
 def surface_average(surface: Surface, fld: ScalarField, n=256):

@@ -40,9 +40,9 @@ def conformal_direction(surface: Surface, psi: ScalarField):
     return PerturbationDirection(tensor, f"conformal({psi.name})")
 
 
-def family_direction(family, t, k=0):
-    """Coordinate direction d ghat / d t_k of a metric family at t."""
-    return PerturbationDirection(family.deriv_tensor(t, k), f"family dt_{k}")
+def family_direction(family, t):
+    """Coordinate direction d ghat / d t_0 of a metric family at t."""
+    return PerturbationDirection(family.deriv_tensor(t, 0), "family dt_0")
 
 
 class StationarityWarning(UserWarning):
@@ -59,12 +59,12 @@ def first_variation(net: GammaNet, metric: Surface, direction) -> float:
     if report.max_residual() > 1e-6:
         warnings.warn(f"first variation on a non-stationary net "
                       f"(residual {report.max_residual():.3e})", StationarityWarning)
-    tensor = direction.tensor if isinstance(direction, PerturbationDirection) else direction
-    return 0.5 * net.segment_trace_integral(tensor, metric)
+    return 0.5 * net.segment_trace_integral(direction, metric)
 
 
-def fd_length_derivative(net_family, metric_family, t, h=1e-3) -> float:
-    """Richardson-extrapolated central difference of s -> length(net(s), g(s)).
+def fd_length_derivative(net_family, metric_family, t) -> float:
+    """Richardson-extrapolated central difference of s -> length(net(s), g(s))
+    at steps 1e-3 and 1e-3 / 2.
 
     ``net_family(s)`` must return the stationary net under
     ``metric_family(s)`` (typically a re-solve seeded from the net at t).
@@ -76,16 +76,16 @@ def fd_length_derivative(net_family, metric_family, t, h=1e-3) -> float:
     def central(step):
         return (L(t + step) - L(t - step)) / (2 * step)
 
-    d1 = central(h)
-    d2 = central(h / 2)
+    d1 = central(1e-3)
+    d2 = central(1e-3 / 2)
     return (4.0 * d2 - d1) / 3.0
 
 
-def resolved_family(init: GammaNet, metric_family, **solve_kw):
+def resolved_family(init: GammaNet, metric_family):
     """net_family(s) that re-solves from ``init`` under metric_family(s)."""
 
     def net_at(s):
-        return solve_stationary(init, metric_family(s), **solve_kw).net
+        return solve_stationary(init, metric_family(s)).net
 
     return net_at
 
@@ -208,7 +208,7 @@ def _battery_directions(torus):
                       ("2cos(2pix)cos(2piy)g", cosfield(1, 1))]:
         from .surfaces import constant_field
         fld = psi if psi is not None else constant_field(1.0)
-        family = ConformalFamily(torus, [fld], box_radius=1.0)
+        family = ConformalFamily(torus, [fld])
         entries.append((name, conformal_direction(torus, fld),
                         lambda s, fam=family: fam.at([s])))
 
@@ -229,7 +229,7 @@ def _battery_directions(torus):
     return entries
 
 
-def run_battery(h=1e-3):
+def run_battery():
     """The 10-net x 5-direction agreement table (analytic vs FD).
 
     Finite differences use branch tracking (one pseudo-inverted Hessian
@@ -243,7 +243,6 @@ def run_battery(h=1e-3):
         track = stationary_tracker(net, torus)
         for dir_name, direction, metric_family in _battery_directions(torus):
             analytic = first_variation(net, torus, direction)
-            fd = fd_length_derivative(lambda s, mf=metric_family: track(mf(s)),
-                                      metric_family, 0.0, h=h)
+            fd = fd_length_derivative(lambda s, mf=metric_family: track(mf(s)), metric_family, 0.0)
             rows.append(BatteryRow(net_name, dir_name, float(analytic), float(fd)))
     return rows

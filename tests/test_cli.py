@@ -101,9 +101,14 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     ("dumbbell", "[surface]\nneck = nan\n"),                 # once exit 1 with NaN output
     ("dumbbell", "[surface]\nneck = 0\n"),                   # once exit 0
     ("dumbbell", "[surface]\nneck = -0.2\n"),                # once exit 0
+    ("partition", "[partition]\neps1 = 0\n"),                 # once ZeroDivisionError, exit 1
+    ("partition", "[partition]\neps1 = -0.3\n"),              # once exit 0 with K = 4
+    ("partition", "[partition]\neps1 = nan\n"),               # once a NaN-to-integer error
+    ("solve-net", "[net]\nkind = geodesic\noffset = 0.1\n"),  # once read as (0.1, 0.1)
 ], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell",
         "tol-nan", "tol-0", "tol-negative", "inj-nan-partition", "inj-nan-solve",
-        "radius-inf", "neck-nan", "neck-0", "neck-negative"])
+        "radius-inf", "neck-nan", "neck-0", "neck-negative", "eps1-0", "eps1-negative",
+        "eps1-nan", "offset-scalar"])
 def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

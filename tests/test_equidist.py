@@ -214,6 +214,14 @@ def test_family_weight_validation():
         WeightedNetFamily([torus_geodesic((1, 0))], [1.0], integer_weights=([1], 0))
 
 
+@pytest.mark.parametrize("weights", [[np.nan], [np.nan, np.nan]])
+def test_family_rejects_nan_weights(weights):
+    # NaN once passed both the sign and the sum test, and the
+    # discrepancy then read NaN
+    with pytest.raises(ValueError, match="convex combination"):
+        WeightedNetFamily([torus_geodesic((1, 0))] * len(weights), weights)
+
+
 # ---------------------------------------------------------------------------
 # min-norm point / convex search
 # ---------------------------------------------------------------------------
@@ -304,7 +312,7 @@ def test_rationalize_rejects_a_bad_m(m):
     # m = 0 divided by zero; m = -1 and m = inf made every bound negative
     # or zero, so the search walked to d_max
     with pytest.raises(ValueError, match=f"m = {m}"):
-        rationalize([0.25, 0.75], [1.0, 2.0], m, d_max=20_000)
+        rationalize([0.25, 0.75], [1.0, 2.0], m)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +343,7 @@ def test_merge_schedule_dominance():
 def test_merge_sequences_small(torus):
     a, b = torus_geodesic((1, 0)), torus_geodesic((0, 1))
     seq, index_map = merge_sequences([([a], ([1], 1), 1), ([b], ([2], 1), 2)],
-                                     metric=torus)
+                                     length_fn=lambda n: n.length(torus))
     # block 2's unit (b twice, length 2) already dominates 2 x block 1
     assert [id(n) for n in seq] == [id(a), id(b), id(b)]
     assert index_map == [(1, 0), (2, 0), (2, 0)]

@@ -19,7 +19,7 @@ def _wiggly_circle(amplitude=0.1, samples=64):
 
 
 def test_birkhoff_straightens_torus_circle(torus):
-    res = birkhoff_shorten(_wiggly_circle(), torus, tol=1e-13)
+    res = birkhoff_shorten(_wiggly_circle(), torus)
     assert not res.collapsed
     assert res.length == pytest.approx(1.0, abs=1e-8)
 
@@ -105,7 +105,7 @@ def test_birkhoff_matches_sequential_sweeps(kind, points, torus, sphere):
     ref_path, _ = _reference_birkhoff(loop, metric, max_sweeps=1)
     chart, pts = loop.edge_paths[0]
     y, offset = pts[:-1].copy(), pts[-1] - pts[0]
-    _birkhoff_sweep(metric, chart, y, offset, relax=0.5)
+    _birkhoff_sweep(metric, chart, y, offset)
     assert np.max(np.abs(np.vstack([y, y[0] + offset]) - ref_path)) <= 1e-13
 
 

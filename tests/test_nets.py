@@ -101,6 +101,15 @@ def test_theta_net_structure(torus):
     assert net.length(torus) > 0
 
 
+@pytest.mark.parametrize("offset", [(0.1,), 0.1, (0.1, 0.2, 0.3)])
+def test_torus_nets_reject_an_offset_that_is_not_a_point(offset):
+    # a 1-vector offset once broadcast to (0.1, 0.1)
+    with pytest.raises(ValueError, match="offset"):
+        torus_geodesic((1, 0), offset=offset)
+    with pytest.raises(ValueError, match="offset"):
+        torus_theta_net([(1, 0), (0, 1), (-1, -1)], offset=offset)
+
+
 def test_sphere_latitude_length(sphere):
     eq = sphere_latitude(sphere, np.pi / 2)
     assert eq.length(sphere) == pytest.approx(2 * np.pi, rel=1e-4)

@@ -332,8 +332,8 @@ def _per_edge_length_and_dof_grad(dofs, metric, x):
 
 
 def test_packed_gradient_matches_per_edge_reference(torus, sphere, dumbbell, rng):
-    north = sphere_latitude(sphere, 1.0, samples=40, chart="north")
-    south = sphere_latitude(sphere, 2.2, samples=30, chart="south")
+    north = sphere_latitude(sphere, 1.0, samples=40)
+    south = sphere_latitude(sphere, 2.2, samples=30)
     two_charts = GammaNet(WeightedMultigraph(["n", "s"], [Edge("n", "n"), Edge("s", "s")]),
                           {"n": north.vertex_points["v"], "s": south.vertex_points["v"]},
                           north.edge_paths + south.edge_paths)
@@ -456,7 +456,7 @@ def test_tracker_raises_when_chord_steps_do_not_settle(torus):
     # and returned the net it had reached
     net = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=24), torus).net
     psi = ScalarField(lambda c, x: np.cos(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1]))
-    family = ConformalFamily(torus, [psi], box_radius=1.0)
+    family = ConformalFamily(torus, [psi])
     track = stationary_tracker(net, torus)
     assert isinstance(track(family.at([0.1])), GammaNet)
     with pytest.raises(ValueError, match="last step norm"):
