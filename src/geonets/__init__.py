@@ -2,7 +2,7 @@
 
 from .surfaces import (Chart, ConformalFamily, DomainError, Dumbbell,
                        DumbbellWidthFamily, FlatTorus, ScalarField, Sphere,
-                       Surface, constant_field, geodesic_distance, load_surface,
+                       Surface, constant_field, load_surface,
                        surface_average, surface_integral, volume)
 from .nets import (DegenerateNetError, Edge, GammaNet, WeightedMultigraph,
                    dumbbell_circle, loop_graph, sphere_latitude, theta_graph,
@@ -23,7 +23,7 @@ from .equidist import (BumpSystem, ConvexSearchResult, DiscrepancyReport,
                        convex_gradient_search, discrepancy,
                        discrepancy_transfer, merge_sequences,
                        merged_block_ratios, min_norm_point,
-                       rationalize, rationalize_weights, ratio_series,
+                       rationalize, ratio_series,
                        running_ratio)
 
 __version__ = "0.1.0"

@@ -145,7 +145,7 @@ def cmd_widths(args, cfg):
     table = minmax.weyl_ratio_probe(family, [1, 4, 9], t_grid)
     out = _outdir(args)
     _write_csv(out / "weyl_ratios.csv", _meta(args, cfg, surface="torus"),
-               ["p", "t", "upper_bound", "shortened_length", "h_p"], table.rows)
+               ["p", "t", "upper_bound", "h_p"], table.rows)
     spread = max(max(table.column(p, "h_p")) - min(table.column(p, "h_p"))
                  for p in (1, 4, 9))
     if args.verbose:

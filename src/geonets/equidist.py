@@ -261,7 +261,6 @@ def build_partition(metric: Surface, eps1, K_min=1) -> BumpSystem:
 class WeightedNetFamily:
     nets: list
     weights: np.ndarray
-    integer_weights: tuple | None = None      # (c list, d)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -269,13 +268,6 @@ class WeightedNetFamily:
             raise ValueError("one weight per net required")
         if np.any(self.weights < 0) or not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must be a convex combination")
-        if self.integer_weights is not None:
-            c, d = self.integer_weights
-            if d < 1 or any(cj < 0 for cj in c):
-                raise ValueError("integer weights must satisfy c_j >= 0, d >= 1")
-
-    def lengths(self, metric):
-        return np.array([net.length(metric) for net in self.nets])
 
     def weighted_average(self, fld, metric):
         return float(sum(a * net.average_integral(fld, metric)
@@ -503,12 +495,6 @@ def rationalize(alphas, lengths, m):
             return [int(c) for c in cs], d
         d += 1
     raise ValueError(f"no common denominator up to {_D_MAX} meets the bounds")
-
-
-def rationalize_weights(family: WeightedNetFamily, metric: Surface, m):
-    c, d = rationalize(family.weights, family.lengths(metric), m)
-    family.integer_weights = (c, d)
-    return c, d
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Sweepout upper bounds for small-p widths and critical-net extraction.
+"""Sweepout upper bounds for small-p widths, and curve shortening.
 
-True widths are never computed here: every number this module emits is
+True widths are never computed here: every width this module emits is
 the maximum of a cycle length over an explicit sweepout family, labeled
-``upper_bound``, optionally followed by midpoint-relaxation curve
-shortening of the maximizing cycle.
+``upper_bound``.  :func:`birkhoff_shorten` shortens a cycle to a nearby
+closed geodesic, or reports that it collapsed or stalled.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface
 class Sweepout:
     p: int
     grid: np.ndarray
-    cycle_fn: object            # parameter -> GammaNet, or None for a degenerate slice
-    provenance: str = ""
+    cycle_fn: object            # parameter -> GammaNet
 
 
 @dataclass
@@ -32,10 +31,6 @@ class WidthEstimate:
     p: int
     upper_bound: float
     maximizer: float
-    critical_net: GammaNet | None
-    shortened_length: float
-    collapsed: bool = False
-    stalled: bool = False       # the shortened net is not stationary (ShortenResult.stalled)
 
 
 @dataclass
@@ -73,9 +68,9 @@ def build_sweepout(surface: Surface, p, recipe) -> Sweepout:
     """Level-set sweepout families on the three model surfaces.
 
     Recipes: ``x-levels`` / ``y-levels`` (torus; for p > 1 the slice is
-    ceil(sqrt(p)) parallel circles), ``latitude`` (sphere, p = 1, poles
-    degenerate), ``profile`` (dumbbell parallel circles, p = 1) and
-    ``neck`` (dumbbell circles localized at the waist, p = 1).
+    ceil(sqrt(p)) parallel circles), ``latitude`` (sphere, p = 1; the
+    poles are zero-length latitudes) and ``profile`` (dumbbell parallel
+    circles, p = 1).
     """
     root = _root_surface(surface)
     if recipe in ("x-levels", "y-levels"):
@@ -84,43 +79,29 @@ def build_sweepout(surface: Surface, p, recipe) -> Sweepout:
         k = math.ceil(math.sqrt(p))
         axis = "x" if recipe == "x-levels" else "y"
         grid = np.linspace(0.0, 1.0 / k, 33)
-        return Sweepout(p, grid, lambda c, k=k, axis=axis: _torus_circles(k, c, axis),
-                        provenance=f"torus {recipe}, {k} parallel circles")
+        return Sweepout(p, grid, lambda c, k=k, axis=axis: _torus_circles(k, c, axis))
     if recipe == "latitude":
         if not isinstance(root, Sphere) or p != 1:
             raise ValueError("recipe 'latitude' needs a sphere surface and p = 1")
-        grid = np.linspace(0.0, np.pi, 65)
-
-        def cycle(colat):
-            if colat <= 1e-12 or colat >= np.pi - 1e-12:
-                return None
-            return sphere_latitude(root, colat)
-
-        return Sweepout(1, grid, cycle, provenance="sphere latitude family")
-    if recipe in ("profile", "neck"):
+        return Sweepout(1, np.linspace(0.0, np.pi, 65), lambda colat: sphere_latitude(root, colat))
+    if recipe == "profile":
         if not isinstance(root, Dumbbell) or p != 1:
-            raise ValueError(f"recipe {recipe!r} needs a dumbbell surface and p = 1")
-        if recipe == "profile":
-            grid = np.linspace(root.u_margin, 1.0 - root.u_margin, 201)
-            tag = "dumbbell profile circles"
-        else:
-            grid = 0.5 + 5e-4 * np.linspace(-1.0, 1.0, 21)
-            tag = "dumbbell waist-localized circles"
-        return Sweepout(1, grid, lambda u: dumbbell_circle(root, u), provenance=tag)
+            raise ValueError("recipe 'profile' needs a dumbbell surface and p = 1")
+        grid = np.linspace(root.u_margin, 1.0 - root.u_margin, 201)
+        return Sweepout(1, grid, lambda u: dumbbell_circle(root, u))
     raise ValueError(f"unsupported recipe/surface pair: {recipe!r} on {root.name}")
 
 
-def minmax_upper_bound(sweepout: Sweepout, metric: Surface, shorten=True) -> WidthEstimate:
+def minmax_upper_bound(sweepout: Sweepout, metric: Surface) -> WidthEstimate:
     """Maximize cycle length over the sweepout grid; an upper bound only.
 
     An interior grid maximum is refined by bounded scalar maximization of
-    the slice length, and with ``shorten`` the maximizing cycle is
-    shortened to extract a near-critical net.
+    the slice length.  ``maximizer`` is the sweepout parameter of the
+    longest slice.
     """
 
     def slice_length(c):
-        cyc = sweepout.cycle_fn(c)
-        return 0.0 if cyc is None else cyc.length(metric)
+        return sweepout.cycle_fn(c).length(metric)
 
     lengths = np.array([slice_length(c) for c in sweepout.grid])
     i = int(np.argmax(lengths))
@@ -133,19 +114,7 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface, shorten=True) -> Wid
                               options={"xatol": 1e-10})
         if -res.fun > best:
             best_c, best = float(res.x), float(-res.fun)
-
-    critical = None
-    short_len = best
-    collapsed = stalled = False
-    if shorten:
-        cyc = sweepout.cycle_fn(best_c)
-        if cyc is not None:
-            sres = birkhoff_shorten(cyc, metric)
-            critical, short_len = sres.net, sres.length
-            collapsed, stalled = sres.collapsed, sres.stalled
-    return WidthEstimate(p=sweepout.p, upper_bound=best, maximizer=best_c,
-                         critical_net=critical, shortened_length=float(short_len),
-                         collapsed=collapsed, stalled=stalled)
+    return WidthEstimate(p=sweepout.p, upper_bound=best, maximizer=best_c)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +201,7 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface) -> ShortenResult:
 # analytic dumbbell model
 # ---------------------------------------------------------------------------
 
-def dumbbell_width(t, scale=1.0):
+def dumbbell_width(t, scale):
     """Model one-width c(1 + |t|) of the bell-scaled dumbbell family."""
     if not -1.0 < t < 1.0:
         raise ValueError("dumbbell family parameter must lie in (-1, 1)")
@@ -263,12 +232,12 @@ def dumbbell_kink(base: Dumbbell):
     def width(t):
         metric = family.at(t)
         sw = build_sweepout(metric, 1, "profile")
-        return minmax_upper_bound(sw, metric, shorten=False).upper_bound
+        return minmax_upper_bound(sw, metric).upper_bound
 
     rows = []
     for t in KINK_T_GRID:
         est = width(t)
-        model = dumbbell_width(t, scale=base.great_circle_length)
+        model = dumbbell_width(t, base.great_circle_length)
         rows.append({"t": float(t), "upper_bound": est, "model": model,
                      "rel_error": abs(est - model) / model,
                      "realizer": dumbbell_realizer(float(t))})
@@ -282,7 +251,7 @@ def dumbbell_kink(base: Dumbbell):
 
 @dataclass
 class WeylTable:
-    rows: list = field(default_factory=list)       # dicts: p, t, upper_bound, shortened_length, h_p
+    rows: list = field(default_factory=list)       # dicts: p, t, upper_bound, h_p
 
     def column(self, p, key):
         return [r[key] for r in self.rows if r["p"] == p]
@@ -295,9 +264,7 @@ def weyl_ratio_probe(family, p_list, t_grid) -> WeylTable:
         metric = family.at(t)
         vol = volume(metric)
         for p, p_rows in zip(p_list, rows):
-            est = minmax_upper_bound(build_sweepout(metric, p, "x-levels"), metric, shorten=False)
-            p_rows.append({"p": p, "t": float(t),
-                           "upper_bound": est.upper_bound,
-                           "shortened_length": est.shortened_length,
+            est = minmax_upper_bound(build_sweepout(metric, p, "x-levels"), metric)
+            p_rows.append({"p": p, "t": float(t), "upper_bound": est.upper_bound,
                            "h_p": est.upper_bound / (math.sqrt(p) * math.sqrt(vol))})
     return WeylTable([r for p_rows in rows for r in p_rows])

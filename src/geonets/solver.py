@@ -223,7 +223,8 @@ class _NormalDofs:
         H = np.bincount(self.dofs.hessian_index, np.einsum("sip,sij,sjq->sipjq", v, blocks, v).ravel(),
                         n * n).reshape(n, n)
         H += H.T
-        return 0.5 * H
+        H *= 0.5
+        return H
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
@@ -508,12 +509,13 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
     directions, so every numerical zero mode corresponds to a Jacobi
     field.  Flat chart-coordinate inner product throughout.
     """
-    resid = length_gradient_norm(net, metric)
+    dofs = _Dofs(net, metric)
+    x = dofs.pack()
+    resid = float(np.linalg.norm(_length_and_dof_grad(dofs, metric, x)[1]))
     if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(gradient norm {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
-    dofs = _Dofs(net, metric)
-    return np.linalg.eigvalsh(_NormalDofs(dofs, dofs.pack(), drag=False).hessian(metric))
+    return np.linalg.eigvalsh(_NormalDofs(dofs, x, drag=False).hessian(metric))
 
 
 def is_nondegenerate(net: GammaNet, metric: Surface, tol):
@@ -632,42 +634,27 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
 _MATCH_TOL = 1e-6
 
 
-def closed_geodesic_certificate(net: GammaNet, metric: Surface, relations=None) -> ClosedGeodesicResult:
-    """Check that tangent-matching relations concatenate the net into
-    immersed circles with transverse self-intersections.
+def closed_geodesic_certificate(net: GammaNet, metric: Surface) -> ClosedGeodesicResult:
+    """Check that pairing opposite inward tangents at each vertex
+    concatenates the net into immersed circles with transverse
+    self-intersections.
 
-    ``relations`` is a list of pairs ((edge_index, i1), (edge_index, i2)),
-    each pairing two edge ends at one vertex and every end once; any other
-    relation set raises ValueError.  With ``relations=None`` opposite
-    inward tangents are paired automatically.
+    Each edge end is paired greedily with the first later end at its
+    vertex whose g-unit inward tangent is opposite within
+    :data:`_MATCH_TOL`; an end left unpaired fails the check.
     """
     vertex, unit, g = _edge_ends(net, metric)
     pairs, cos = _end_cosines(vertex, unit, g)
     vertex, names, partner = vertex.tolist(), net.graph.vertices, [-1] * len(vertex)
     opposite = 0.5 * _MATCH_TOL**2 - 1.0      # cos <= this iff |u_a + u_b|_g <= _MATCH_TOL
-    if relations is None:
-        # greedily, each end takes the first later opposite end still free
-        for p, q in pairs:
-            if cos[p][q] <= opposite and partner[p] < 0 and partner[q] < 0:
-                partner[p], partner[q] = q, p
-        if -1 in partner:
-            k = min(v for v, q in zip(vertex, partner) if q < 0)
-            why = "odd incidence degree" if vertex.count(k) % 2 else "no opposite tangent match"
-            return ClosedGeodesicResult(False, f"{why} at vertex {names[k]!r}")
-    else:
-        row = {divmod(r, 2): r for r in range(len(vertex))}
-        for rel in relations:
-            p, q = (row.get(tuple(end), -1) for end in rel)
-            if min(p, q) < 0 or p == q or max(partner[p], partner[q]) >= 0 or vertex[p] != vertex[q]:
-                raise ValueError(f"relation {rel} does not pair two edge ends of the net at one "
-                                 f"vertex, each end in one relation")
+    # greedily, each end takes the first later opposite end still free
+    for p, q in pairs:
+        if cos[p][q] <= opposite and partner[p] < 0 and partner[q] < 0:
             partner[p], partner[q] = q, p
-        if -1 in partner:
-            raise ValueError(f"relations are not a perfect pairing at vertex "
-                             f"{names[min(v for v, q in zip(vertex, partner) if q < 0)]!r}")
-        for p1, p2 in relations:
-            if cos[row[tuple(p1)]][row[tuple(p2)]] > opposite:
-                return ClosedGeodesicResult(False, f"tangents do not match through {p1}/{p2}")
+    if -1 in partner:
+        k = min(v for v, q in zip(vertex, partner) if q < 0)
+        why = "odd incidence degree" if vertex.count(k) % 2 else "no opposite tangent match"
+        return ClosedGeodesicResult(False, f"{why} at vertex {names[k]!r}")
 
     # transversality of all non-matched co-incident pairs
     collinear = [vertex[p] for p, q in pairs if partner[p] != q and abs(cos[p][q]) > 1.0 - _MATCH_TOL]

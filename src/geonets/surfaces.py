@@ -595,7 +595,9 @@ class ConformalFamily:
         return _ScaledSurface(self.base, phi, dphi, name=f"{self.base.name}@t={t.tolist()}")
 
     def deriv_tensor(self, t, k):
-        """The symmetric 2-tensor d ghat / d t_k = 2 psi_k ghat(t)."""
+        """The symmetric 2-tensor d ghat / d t_k = 2 psi_k ghat(t), 0 <= k < K."""
+        if not 0 <= k < self.K:
+            raise ValueError(f"family coordinate k = {k!r} is not in [0, {self.K})")
         surf = self.at(t)
         psi = self.weights[k]
 
@@ -659,8 +661,11 @@ class DumbbellWidthFamily:
 
         return _ScaledSurface(self.base, phi, dphi, name=f"dumbbell@t={t}")
 
-    def deriv_tensor(self, t, k=0):
-        """d ghat/dt = 2 (beta / s) ghat(t), a conformal-type direction."""
+    def deriv_tensor(self, t, k):
+        """d ghat/dt = 2 (beta / s) ghat(t), a conformal-type direction; the
+        family has one coordinate, so ``k`` must be 0."""
+        if k != 0:
+            raise ValueError(f"family coordinate k = {k!r} is not 0, the one coordinate")
         t = float(np.squeeze(t))
         surf = self.at(t)
 
@@ -722,12 +727,6 @@ def surface_integral(surface: Surface, fld: ScalarField, n=256):
 def surface_average(surface: Surface, fld: ScalarField, n=256):
     area, integral = _richardson(surface, n, fld)
     return float(integral / area)
-
-
-def geodesic_distance(surface: Surface, p, q):
-    """Distance between points given as (chart, coords) pairs."""
-    (cp, xp), (cq, xq) = p, q
-    return surface.distance(cp, np.asarray(xp, dtype=float), cq, np.asarray(xq, dtype=float))
 
 
 # ---------------------------------------------------------------------------

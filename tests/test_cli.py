@@ -51,6 +51,14 @@ def _csv_rows(path):
     return rows
 
 
+def test_widths_csv_columns(tmp_path):
+    # the shortened_length column always repeated upper_bound
+    assert cli.main(["widths", "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "weyl_ratios.csv")
+    assert list(rows[0]) == ["p", "t", "upper_bound", "h_p"]
+    assert [row["p"] for row in rows] == ["1"] * 7 + ["4"] * 7 + ["9"] * 7
+
+
 def test_csv_fields_with_commas_stay_in_their_column(tmp_path):
     # net names such as circle(1,0)@y=0 once spilled into the next column
     assert cli.main(["check-variation", "--out", str(tmp_path)]) == 0

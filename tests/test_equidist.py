@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from geonets import (ConformalFamily, FlatTorus, ScalarField, Sphere, WeightedNetFamily,
                      build_partition, convex_gradient_search, discrepancy,
                      discrepancy_transfer, merge_sequences, merged_block_ratios,
-                     min_norm_point, rationalize, rationalize_weights,
+                     min_norm_point, rationalize,
                      ratio_series, running_ratio, torus_geodesic)
 from geonets.equidist import (BumpSystem, _bump_1d, _bump_1d_periodic, _merge_schedule,
                                _sphere_angles, _volume_psi_averages)
@@ -210,8 +210,6 @@ def test_transfer_bound(torus):
 def test_family_weight_validation():
     with pytest.raises(ValueError):
         WeightedNetFamily([torus_geodesic((1, 0))], [0.5])
-    with pytest.raises(ValueError):
-        WeightedNetFamily([torus_geodesic((1, 0))], [1.0], integer_weights=([1], 0))
 
 
 @pytest.mark.parametrize("weights", [[np.nan], [np.nan, np.nan]])
@@ -272,13 +270,6 @@ def test_convex_search_constant_gradient_fails():
 def test_rationalize_halves():
     c, d = rationalize([0.5, 0.5], [1.0, 1.0], m=10)
     assert (c, d) == ([1, 1], 2)
-
-
-def test_rationalize_weights_attaches(torus):
-    fam = WeightedNetFamily([torus_geodesic((1, 0)), torus_geodesic((0, 1))],
-                            [0.5, 0.5])
-    c, d = rationalize_weights(fam, torus, m=10)
-    assert fam.integer_weights == (c, d)
 
 
 def test_rationalize_random_instances():

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from geonets import (ConformalFamily, DomainError, Dumbbell, FlatTorus,
-                     ScalarField, Sphere, constant_field, geodesic_distance,
+                     ScalarField, Sphere, constant_field,
                      load_surface, surface_average, surface_integral, volume)
 from geonets.surfaces import _QUAD_BLOCK, DumbbellWidthFamily, _area_integrals, _det2
 
@@ -127,7 +127,22 @@ def test_dumbbell_width_family_deriv(dumbbell):
     h = 1e-6
     t = 0.1
     fd = (fam.at(t + h).metric("main", x) - fam.at(t - h).metric("main", x)) / (2 * h)
-    assert np.allclose(fam.deriv_tensor(t)("main", x), fd, atol=1e-7)
+    assert np.allclose(fam.deriv_tensor(t, 0)("main", x), fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("k", [1, -1])
+def test_dumbbell_width_family_deriv_rejects_other_coordinates(dumbbell, k):
+    # the family has one coordinate; any k once returned d ghat/dt
+    with pytest.raises(ValueError, match="coordinate"):
+        DumbbellWidthFamily(dumbbell).deriv_tensor(0.1, k)
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_conformal_family_deriv_rejects_an_index_outside_its_weights(torus, k):
+    # k = -1 once returned the last weight's direction
+    fam = ConformalFamily(torus, [constant_field(1.0), constant_field(2.0)])
+    with pytest.raises(ValueError, match="coordinate"):
+        fam.deriv_tensor([0.0, 0.0], k)
 
 
 def test_surface_average_constant(sphere):
@@ -197,11 +212,6 @@ def test_blocked_area_integrals_match_one_shot(torus, sphere, dumbbell):
     family = ConformalFamily(torus, [constant_field(1.0)])
     for c in (-0.4, -0.1, 0.25, 0.4):
         assert abs(volume(family.at([c])) - np.exp(2 * c)) <= 1e-12
-
-
-def test_geodesic_distance_helper(torus):
-    d = geodesic_distance(torus, ("main", [0.0, 0.0]), ("main", [0.3, 0.4]))
-    assert d == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pairwise_distances_match_references(torus, dumbbell, rng):

@@ -112,28 +112,35 @@ def test_birkhoff_matches_sequential_sweeps(kind, points, torus, sphere):
 def test_torus_width_recipes(torus):
     for recipe in ("x-levels", "y-levels"):
         sw = build_sweepout(torus, 1, recipe)
-        est = minmax_upper_bound(sw, torus, shorten=False)
+        est = minmax_upper_bound(sw, torus)
         assert est.upper_bound == pytest.approx(1.0, abs=1e-10)
     # p = 4 uses 2 parallel circles
     sw = build_sweepout(torus, 4, "x-levels")
-    est = minmax_upper_bound(sw, torus, shorten=False)
+    est = minmax_upper_bound(sw, torus)
     assert est.upper_bound == pytest.approx(2.0, abs=1e-10)
 
 
 def test_sphere_latitude_width(sphere):
     sw = build_sweepout(sphere, 1, "latitude")
-    est = minmax_upper_bound(sw, sphere, shorten=False)
+    est = minmax_upper_bound(sw, sphere)
     assert est.upper_bound == pytest.approx(2 * np.pi, rel=1e-4)
     assert est.maximizer == pytest.approx(np.pi / 2, abs=1e-3)
 
 
+def test_sphere_latitude_sweepout_ends_in_zero_length_poles(sphere):
+    sw = build_sweepout(sphere, 1, "latitude")
+    assert [sw.cycle_fn(c).length(sphere) for c in (0.0, np.pi)] == [0.0, 0.0]
+
+
 def test_width_estimate_reports_a_stalled_shortening(sphere, torus):
     # the maximizing latitude is the equator, a saddle that Newton slides off
-    est = minmax_upper_bound(build_sweepout(sphere, 1, "latitude"), sphere)
-    assert est.stalled and not est.collapsed
+    sw = build_sweepout(sphere, 1, "latitude")
+    res = birkhoff_shorten(sw.cycle_fn(minmax_upper_bound(sw, sphere).maximizer), sphere)
+    assert res.stalled and not res.collapsed
     # a torus level circle is already a stable geodesic
-    est = minmax_upper_bound(build_sweepout(torus, 1, "x-levels"), torus)
-    assert not est.stalled and not est.collapsed
+    sw = build_sweepout(torus, 1, "x-levels")
+    res = birkhoff_shorten(sw.cycle_fn(minmax_upper_bound(sw, torus).maximizer), torus)
+    assert not res.stalled and not res.collapsed
 
 
 def test_recipe_surface_mismatch(torus, sphere):
@@ -146,9 +153,9 @@ def test_recipe_surface_mismatch(torus, sphere):
 
 
 def test_dumbbell_width_model():
-    assert dumbbell_width(0.0) == 1.0
-    assert dumbbell_width(-0.3) == pytest.approx(1.3)
-    assert dumbbell_width(0.25, scale=2.0) == pytest.approx(2.5)
+    assert dumbbell_width(0.0, 1.0) == 1.0
+    assert dumbbell_width(-0.3, 1.0) == pytest.approx(1.3)
+    assert dumbbell_width(0.25, 2.0) == pytest.approx(2.5)
     assert dumbbell_realizer(0.2) == "S1"
     assert dumbbell_realizer(-0.2) == "S2"
     assert dumbbell_realizer(0.0) == "both"
@@ -160,14 +167,8 @@ def test_dumbbell_profile_width_tracks_model(dumbbell):
     for t in (-0.2, 0.0, 0.15):
         metric = family.at(t)
         sw = build_sweepout(metric, 1, "profile")
-        est = minmax_upper_bound(sw, metric, shorten=False)
+        est = minmax_upper_bound(sw, metric)
         assert est.upper_bound == pytest.approx(c * (1 + abs(t)), rel=1e-6)
-
-
-def test_dumbbell_neck_recipe_finds_waist(dumbbell):
-    sw = build_sweepout(dumbbell, 1, "neck")
-    est = minmax_upper_bound(sw, dumbbell, shorten=False)
-    assert est.upper_bound == pytest.approx(2 * np.pi * dumbbell.neck, rel=1e-3)
 
 
 def test_weyl_ratio_invariance(torus):

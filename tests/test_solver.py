@@ -645,38 +645,12 @@ def test_tripod_has_no_pairing(torus):
     assert "odd" in out.reason or "match" in out.reason
 
 
-def test_inconsistent_relations_raise(torus):
-    net = _figure_eight((1, 0), (0, 1))
-    # pair the first circle's outgoing end with itself twice: not a pairing
-    bad = [((0, 0), (0, 1)), ((0, 0), (1, 1))]
-    with pytest.raises(ValueError):
-        closed_geodesic_certificate(net, torus, relations=bad)
-
-
-def test_relations_across_two_vertices_raise(torus):
-    # each relation pairs the two ends of one theta edge, which sit at its
-    # two vertices: once accepted as three "circles" that were open edges
-    res = solve_stationary(torus_theta_net([(1, 0), (0, 1), (0, 0)]), torus)
-    rel = [((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1))]
-    with pytest.raises(ValueError, match="one vertex"):
-        closed_geodesic_certificate(res.net, torus, relations=rel)
-
-
-@pytest.mark.parametrize("end", [(5, 0), (0, 2), (-1, 0)])
-def test_relations_naming_no_edge_end_raise(torus, end):
-    # (5, 0) once raised KeyError
-    rel = [((0, 0), end), ((1, 0), (1, 1))]
-    with pytest.raises(ValueError, match="edge ends of the net"):
-        closed_geodesic_certificate(_figure_eight((1, 0), (0, 1)), torus, relations=rel)
-
-
 def test_tangent_strands_fail_transversality(torus):
     # two copies of the same circle through one vertex: strands collinear
     net = _figure_eight((1, 0), (1, 0))
-    # force the pairing that keeps each copy its own circle; the crossing
-    # strands of the other copy are then collinear, not transverse
-    rel = [((0, 0), (0, 1)), ((1, 0), (1, 1))]
-    out = closed_geodesic_certificate(net, torus, relations=rel)
+    # whichever opposite ends pair, the two strands left over at the
+    # vertex are collinear, not transverse
+    out = closed_geodesic_certificate(net, torus)
     assert not out.ok
     assert "transverse" in out.reason
 
