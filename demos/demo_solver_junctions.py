@@ -19,7 +19,7 @@ def main():
 
     res = gn.solve_stationary(init, torus)
     print(f"solved length:  {res.length:.10f} "
-          f"(converged={res.converged}, residual={res.report.max_residual():.2e})")
+          f"(converged={res.converged}, residual={res.residual:.2e})")
 
     # the pairwise angles of the inward unit tangents at each vertex, from
     # the solver's edge-end table and its junction cosines

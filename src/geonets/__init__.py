@@ -8,10 +8,9 @@ from .nets import (DegenerateNetError, Edge, GammaNet, WeightedMultigraph,
                    dumbbell_circle, loop_graph, sphere_latitude, theta_graph,
                    torus_geodesic, torus_theta_net)
 from .solver import (ClosedGeodesicResult, EmbeddednessCertificate, SolveResult,
-                     StationarityReport, closed_geodesic_certificate,
-                     embeddedness_certificate, is_nondegenerate,
-                     second_variation_spectrum, solve_stationary,
-                     stationarity_residual)
+                     closed_geodesic_certificate, embeddedness_certificate,
+                     is_nondegenerate, second_variation_spectrum,
+                     solve_stationary, stationarity_residual)
 from .variation import (PerturbationDirection, conformal_direction, eps_close,
                         family_direction, fd_length_derivative, first_variation,
                         resolved_family, run_battery)

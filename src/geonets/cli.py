@@ -3,8 +3,10 @@
 Subcommands: solve-net, check-variation, dumbbell, widths, partition,
 equidistribute, selftest.  Exit code 0 on success, 1 on assertion
 failure, 2 on configuration errors and on the library's ``ValueError``
-(``DomainError``, ``DegenerateNetError``, unparsable numbers).  Outputs
-embed the config hash, the seed and the resolution knobs as comment lines.
+(``DomainError``, ``DegenerateNetError``, unparsable numbers).  CSV
+outputs embed the config hash, the seed and a subcommand's summary values
+(such as the slope gap or the bump count) as ``# key = value`` comment
+lines; JSON outputs carry the hash and the seed under ``meta``.
 """
 
 from __future__ import annotations
@@ -92,9 +94,7 @@ def cmd_solve_net(args, cfg):
         "status": result.status,
         "iterations": result.iterations,
         "length": result.length,
-        "edge_residual": result.report.edge_residual,
-        "vertex_residual": result.report.vertex_residual,
-        "total_first_variation_norm": result.report.total_first_variation_norm,
+        "residual": result.residual,
         "trace": result.trace,
         "meta": _meta(args, cfg),
     }

@@ -10,19 +10,22 @@ term min(0.5, |g|) |g|) whose vertex dofs drag the samples of their edges
 by hat weights; each trial point is resampled to uniform arclength per
 edge before its one gradient, which an accepted step keeps.  The
 second-variation spectrum and the branch tracker move vertices alone.
-Stationarity is reported as a discrete geodesic curvature per edge, a
-weighted inward-tangent balance per vertex and the l2 norm of the full
-length gradient.  Every vertex condition reads one edge-end table (end r
-is endpoint r % 2 of edge r // 2: its vertex, unit inward tangent and g):
-the balance sums its tangents, and one set of pairwise cosines gives F2,
-the closed-geodesic pairing of opposite tangents and its transversality.
+A net is stationary when its length gradient restricted to the solve's
+drag frame, |N^T g|, vanishes: :func:`stationarity_residual` is that one
+number, and the solve's stop test, the spectrum's gate and the warning
+of ``first_variation`` all read it.  The remaining gradient is
+tangential: it moves samples along the curve, not the net.  Every
+vertex condition reads one edge-end table (end r is endpoint r % 2 of
+edge r // 2: its vertex, unit inward tangent and g): one set of
+pairwise cosines gives F2, the closed-geodesic pairing of opposite
+tangents and its transversality.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -31,19 +34,9 @@ from .surfaces import DomainError, Surface, midpoint_rule
 
 
 @dataclass
-class StationarityReport:
-    edge_residual: float
-    vertex_residual: float
-    total_first_variation_norm: float
-
-    def max_residual(self):
-        return max(self.edge_residual, self.vertex_residual)
-
-
-@dataclass
 class SolveResult:
     net: GammaNet
-    report: StationarityReport
+    residual: float             # stationarity_residual of net; inf once collapsed
     converged: bool
     iterations: int
     length: float
@@ -110,6 +103,16 @@ class _Dofs:
         ends = np.cumsum([pts.shape[0] for _, pts in net.edge_paths])
         self.bounds, self.seg = ends[:-1], np.delete(np.arange(ends[-1]), ends - 1)
         runs = np.diff(ends, prepend=0) - 1
+        # an edge end sits a lattice shift of its chart from its vertex: none
+        # on a closed axis, whole periods on a periodic one
+        edge_charts = [surface.charts[c] for c, _ in net.edge_paths]
+        laps = self.off[np.stack([ends - runs - 1, ends - 1])] / [c.hi - c.lo for c in edge_charts]
+        wraps = np.where([c.periodic for c in edge_charts], np.round(laps), 0.0)
+        off_lattice = np.flatnonzero(np.any(np.abs(laps - wraps) > 1e-9, axis=(0, 2)))
+        if off_lattice.size:
+            k = off_lattice[0]
+            raise DomainError(f"edge {k} on chart {edge_charts[k].name!r} is not closed by a lattice "
+                              f"shift of {surface.name}")
         self.seg_bounds = np.cumsum(runs)[:-1]
         self.mult = np.repeat([float(e.mult) for e in net.graph.edges], runs)
         charts = np.repeat([c for c, _ in net.edge_paths], runs)
@@ -183,11 +186,14 @@ class _Dofs:
 
 def _chord_normals(dofs: _Dofs, x):
     """Chart-coordinate unit normal of the chord through each interior
-    sample's two chain neighbours, in dof order."""
+    sample's two chain neighbours, in dof order; DegenerateNetError where
+    the neighbours coincide."""
     pts, inner = dofs.samples(x), np.flatnonzero(dofs.pidx >= dofs.nv)
     t = pts[inner + 1] - pts[inner - 1]
-    normals = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    normals, norm = np.stack([-t[:, 1], t[:, 0]], axis=-1), np.linalg.norm(t, axis=1, keepdims=True)
+    if not norm.all():
+        raise DegenerateNetError("the two neighbours of an interior sample coincide")
+    return normals / norm
 
 
 class _NormalDofs:
@@ -279,7 +285,7 @@ _FD_STEP = 1e-6
 _PINV_RCOND = 1e-7
 #: chord steps of the branch tracker and the step norm that ends them
 _TRACK_STEPS, _TRACK_TOL = 40, 1e-11
-#: the largest length gradient norm a net may have for its spectrum
+#: the largest stationarity residual a net may have for its spectrum
 _SPECTRUM_RESIDUAL = 1e-6
 
 
@@ -288,11 +294,6 @@ def _pseudo_inverse(H):
     lam, V = np.linalg.eigh(H)
     keep = np.abs(lam) > _PINV_RCOND * np.max(np.abs(lam))
     return (V[:, keep] / lam[keep]) @ V[:, keep].T
-
-
-def length_gradient_norm(net: GammaNet, metric: Surface):
-    dofs = _Dofs(net, metric)
-    return float(np.linalg.norm(_length_and_dof_grad(dofs, metric, dofs.pack())[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +337,21 @@ def _end_cosines(vertex, unit, g):
     return pairs, ((unit[:, None] @ g)[:, 0] @ unit.T).tolist()
 
 
-def stationarity_residual(net: GammaNet, metric: Surface) -> StationarityReport:
-    """Discrete geodesic curvature, vertex balance defect and gradient norm."""
-    edge_res = 0.0
-    for chart, pts in net.edge_paths:
-        if pts.shape[0] < 3:
-            continue
-        du = 1.0 / (pts.shape[0] - 1)
-        x = pts[1:-1]
-        acc = (pts[2:] - 2 * pts[1:-1] + pts[:-2]) / du**2
-        vel = (pts[2:] - pts[:-2]) / (2 * du)
-        gam = metric.christoffel(chart, x)
-        a = acc + np.einsum("skij,si,sj->sk", gam, vel, vel)
-        g = metric.metric(chart, x)
-        vv = np.einsum("si,sij,sj->s", vel, g, vel)
-        if np.any(vv == 0.0):
-            raise DegenerateNetError("zero velocity along an edge")
-        av = np.einsum("si,sij,sj->s", a, g, vel)
-        a_normal = a - (av / vv)[:, None] * vel
-        kappa = np.sqrt(np.einsum("si,sij,sj->s", a_normal, g, a_normal)) / vv
-        edge_res = max(edge_res, float(np.max(kappa)))
+def stationarity_residual(net: GammaNet, metric: Surface) -> float:
+    """|N^T g|: the length gradient restricted to the drag frame of the
+    solve, zero exactly when neither a normal move of an interior sample
+    nor a move of a vertex (dragging its edges) changes the length."""
+    dofs = _Dofs(net, metric)
+    return float(np.linalg.norm(_drag_gradient(dofs, metric, dofs.pack())[3]))
 
-    # weighted inward tangents summed per vertex (bin 2k + i holds coordinate
-    # i of vertex k) and measured by g at the vertex's first end
-    vertex, unit, g = _edge_ends(net, metric)
-    nv = len(net.graph.vertices)
-    mult = np.array([e.mult for e in net.graph.edges for _ in (0, 1)], dtype=float)
-    s = np.bincount((2 * vertex[:, None] + (0, 1)).ravel(), (mult[:, None] * unit).ravel(), 2 * nv)
-    s, first = s.reshape(nv, 2), np.argmax(vertex == np.arange(nv)[:, None], axis=1)
-    vertex_res = float(np.sqrt(np.max(_g_dot(s, g[first], s))))
 
-    return StationarityReport(edge_res, vertex_res, length_gradient_norm(net, metric))
+def _drag_gradient(dofs: _Dofs, metric: Surface, x):
+    """The length and segment lengths at ``x``, the solve's drag frame
+    there and the length gradient restricted to it, whose norm is
+    :func:`stationarity_residual`."""
+    f, g, seg = _length_and_dof_grad(dofs, metric, x)
+    frame = _NormalDofs(dofs, x, drag=True)
+    return f, seg, frame, frame.restrict(g)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +389,17 @@ def _steihaug(matvec, g, radius, tol):
 
 def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, length_floor=None) -> SolveResult:
     """Minimize total length from an initial net by trust-region Newton
-    steps on :class:`_NormalDofs`, until the length gradient is at most
-    ``0.1 * tol`` or 2000 steps have run; ``tol`` must be finite and
-    positive, and every component of the graph good.  Each trial point
-    is resampled to uniform arclength per edge and costs one gradient.
-    ``status`` says why it stopped and ``trace`` holds one
-    entry.  When an edge collapses below the floor (default 1e-4 times
-    the metric's injectivity lower bound) the result is flagged as not
-    converged with a collapse message; a degenerate *initial* net raises
-    DegenerateNetError, and a net on charts the metric lacks DomainError.
+    steps on :class:`_NormalDofs`, until :func:`stationarity_residual` is
+    at most ``0.1 * tol`` or 2000 steps have run; ``tol`` must be finite
+    and positive, and every component of the graph good.  Each trial
+    point is resampled to uniform arclength per edge and costs one
+    gradient.  ``status`` says why it stopped (a net whose residual is at
+    most ``tol`` counts as converged) and ``trace`` holds one entry.  When
+    an edge collapses below the floor (default 1e-4 times the metric's
+    injectivity lower bound) the result is flagged as not converged with
+    a collapse message and an infinite residual; a degenerate *initial*
+    net raises DegenerateNetError, and a net on charts the metric lacks
+    DomainError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -424,45 +411,44 @@ def solve_stationary(init: GammaNet, metric: Surface, tol=1e-8, length_floor=Non
     if min(init.edge_lengths(metric)) <= length_floor:
         raise DegenerateNetError("initial net already below the edge length floor")
 
-    fg, x = partial(_length_and_dof_grad, dofs, metric), dofs.pack()
-    (f, g, _), n_hess, nit, radius, frame, status = fg(x), 0, 0, 1.0, None, "max_iter"
+    # vertices drag their edges: moving a vertex alone kinks the segments
+    # next to it, and long steps then fold the polyline
+    x = dofs.pack()
+    f, _, frame, gr = _drag_gradient(dofs, metric, x)
+    H, n_hess, nit, radius, status = None, 0, 0, 1.0, "max_iter"
     while nit < 2000 and status == "max_iter":
-        if np.linalg.norm(g) <= 0.1 * tol:
+        gnorm = np.linalg.norm(gr)
+        if gnorm <= 0.1 * tol:
             status = "converged"
             break
-        if frame is None:
-            # vertices drag their edges: moving a vertex alone kinks the
-            # segments next to it, and long steps then fold the polyline
-            frame = _NormalDofs(dofs, x, drag=True)
-            H, gr, n_hess = frame.hessian(metric), frame.restrict(g), n_hess + 1
-        gnorm = np.linalg.norm(gr)
+        if H is None:
+            H, n_hess = frame.hessian(metric), n_hess + 1
         # forcing term min(0.5, |g|): quadratic local convergence
         # (Nocedal-Wright, Theorem 7.2; Eisenstat-Walker 1996)
         p = _steihaug(H.__matmul__, gr, radius, min(0.5, gnorm) * gnorm)
         x_new = dofs.resample(x + frame.expand(p))
-        pred, (f_new, g_new, seg) = -(gr @ p + 0.5 * p @ H @ p), fg(x_new)
+        f_new, seg, frame_new, gr_new = _drag_gradient(dofs, metric, x_new)
+        pred = -(gr @ p + 0.5 * p @ H @ p)
         nit += 1
-        rho = ((f - f_new) / pred if pred > _ROUNDING * f
-               else float(np.linalg.norm(g_new) < np.linalg.norm(g)))
+        rho = (f - f_new) / pred if pred > _ROUNDING * f else float(np.linalg.norm(gr_new) < gnorm)
         if rho < _SHRINK_BELOW:
             radius = 0.25 * np.linalg.norm(p)
         elif rho > _GROW_ABOVE and np.linalg.norm(p) >= 0.99 * radius:
             radius *= 2.0
         if rho > 0.0:
             # free the stale Hessian before the next
-            x, f, g, frame, H = x_new, f_new, g_new, None, None
+            x, f, frame, gr, H = x_new, f_new, frame_new, gr_new, None
             if min(map(np.sum, np.split(seg, dofs.seg_bounds))) <= length_floor:
                 status = "collapsed"
         elif radius <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
             status = "stalled"
 
-    net = dofs.unpack(x)
-    report = (StationarityReport(*[float("inf")] * 3) if status == "collapsed"
-              else stationarity_residual(net, metric))
-    status = "converged" if report.total_first_variation_norm <= tol else status
+    net, grad_norm = dofs.unpack(x), float(np.linalg.norm(gr))
+    residual = np.inf if status == "collapsed" else grad_norm
+    status = "converged" if residual <= tol else status
     trace = [{"phase": "trust-region", "nit": nit, "n_grad": 1 + nit, "n_hess": n_hess,
-              "grad_norm": float(np.linalg.norm(g)), "length": float(f), "seconds": time.perf_counter() - t0}]
-    return SolveResult(net=net, report=report, converged=status == "converged", iterations=nit,
+              "grad_norm": grad_norm, "length": float(f), "seconds": time.perf_counter() - t0}]
+    return SolveResult(net=net, residual=residual, converged=status == "converged", iterations=nit,
                        length=net.length(metric), trace=trace, message=_MESSAGES[status], status=status)
 
 
@@ -507,14 +493,16 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
     unit chord normals (one dof each), so N has orthonormal columns.
     This normal-only parametrization carries no reparametrization null
     directions, so every numerical zero mode corresponds to a Jacobi
-    field.  Flat chart-coordinate inner product throughout.
+    field.  Flat chart-coordinate inner product throughout.  The net's
+    :func:`stationarity_residual`, read in the solve's drag frame, must be
+    at most ``_SPECTRUM_RESIDUAL``.
     """
     dofs = _Dofs(net, metric)
     x = dofs.pack()
-    resid = float(np.linalg.norm(_length_and_dof_grad(dofs, metric, x)[1]))
+    resid = float(np.linalg.norm(_drag_gradient(dofs, metric, x)[3]))
     if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
-                         f"(gradient norm {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
+                         f"(stationarity residual {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
     return np.linalg.eigvalsh(_NormalDofs(dofs, x, drag=False).hessian(metric))
 
 

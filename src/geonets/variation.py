@@ -52,13 +52,14 @@ class StationarityWarning(UserWarning):
 def first_variation(net: GammaNet, metric: Surface, direction) -> float:
     """1/2 times the trace of the direction tensor integrated along the net.
 
-    Warns (but still returns the value) when the net is not stationary:
+    Warns (but still returns the value) when the net is not stationary
+    (its :func:`~geonets.solver.stationarity_residual` exceeds 1e-6):
     the formula is the length derivative only on stationary families.
     """
-    report = stationarity_residual(net, metric)
-    if report.max_residual() > 1e-6:
+    residual = stationarity_residual(net, metric)
+    if residual > 1e-6:
         warnings.warn(f"first variation on a non-stationary net "
-                      f"(residual {report.max_residual():.3e})", StationarityWarning)
+                      f"(residual {residual:.3e})", StationarityWarning)
     return 0.5 * net.segment_trace_integral(direction, metric)
 
 
