@@ -169,7 +169,9 @@ class _Dofs:
         """Flat index into the reduced n x n Hessian of every term (s, i, p,
         j, q): segment s, its full dofs i and j, their reduced dofs p and q.
         Stored as int32 to halve what the dofs keep alive; n^2 < 2^31 for
-        every dense Hessian that fits in memory."""
+        every dense Hessian that fits in memory.  A solve keeps it across
+        its Newton steps; the spectrum and the tracker, which build one
+        Hessian each, delete it after."""
         c, n = self.normal_cols[self.segment_dofs], self.reduced_size
         return (c[:, :, :, None, None] * n + c[:, None, None]).ravel().astype(np.int32)
 
@@ -467,6 +469,7 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     dofs = _Dofs(init, metric0)
     frame = _NormalDofs(dofs, dofs.pack(), drag=False)
     P = _pseudo_inverse(frame.hessian(metric0))
+    del dofs.hessian_index                      # track outlives its one Hessian
 
     def track(metric):
         y = np.zeros(frame.size)
@@ -503,7 +506,9 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
     if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(stationarity residual {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
-    return np.linalg.eigvalsh(_NormalDofs(dofs, x, drag=False).hessian(metric))
+    H = _NormalDofs(dofs, x, drag=False).hessian(metric)
+    del dofs.hessian_index                      # its one Hessian is built
+    return np.linalg.eigvalsh(H)
 
 
 def is_nondegenerate(net: GammaNet, metric: Surface, tol):

@@ -15,6 +15,7 @@ residuals are free of finite-difference noise.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,14 +177,15 @@ class Surface:
         """Geodesic distances between the rows of ``P`` and of ``Q``,
         shape ``(len(P), len(Q))``.
 
-        Mesh fallback on the 97 x 97 grid of :meth:`_mesh`: every point
-        snaps to its nearest node, rounded per axis and wrapped on periodic
-        axes (so theta = 2 pi snaps to theta = 0); one Dijkstra runs per
-        distinct node of ``P``, and a pair snapped to one node is measured
-        along the short chart segment between its points.  Dijkstra stops
-        at ``limit``: a pair of nodes farther apart reads ``inf``, every
-        other distance is the same as without a limit.  Closed forms
-        ignore ``limit``.
+        Mesh fallback on the 97 x 97 grid of :meth:`_mesh`, whose nodes
+        and edges every surface on one chart box shares and whose edge
+        weights are this surface's: every point snaps to its nearest node,
+        rounded per axis and wrapped on periodic axes (so theta = 2 pi
+        snaps to theta = 0); one Dijkstra runs per distinct node of ``P``,
+        and a pair snapped to one node is measured along the short chart
+        segment between its points.  Dijkstra stops at ``limit``: a pair
+        of nodes farther apart reads ``inf``, every other distance is the
+        same as without a limit.  Closed forms ignore ``limit``.
         """
         from scipy.sparse.csgraph import dijkstra
 
@@ -219,33 +221,57 @@ class Surface:
 
     def _mesh(self, n):
         """The cached ``(box, h, graph)`` of the n x n distance grid on the
-        box of the only chart: node ``(i, j)`` sits at ``lo + (i, j) * h``
-        with flat index ``i * n + j``.
-
-        A periodic axis has n nodes without its endpoint and wraps mod n;
-        a closed one has n nodes from lo to hi, so an odd n puts a node
-        row on its midline.  Every node links to its king and knight
-        neighbours, and each edge is weighted by the metric length of its
-        short step, measured at the step's midpoint even where that lies
-        past ``hi`` on a periodic axis.
-        """
+        box of the only chart: the nodes and edges of :func:`_mesh_grid`,
+        shared by every surface on that box, each edge weighted by this
+        surface's metric length of its short step.  One
+        :func:`midpoint_rule` call measures every step at its midpoint,
+        even where that lies past ``hi`` on a periodic axis, and its
+        lengths are the CSR data as they come."""
         if n not in self._mesh_cache:
             if len(self.charts) != 1:
                 raise DomainError(f"no geodesic distance on {self.name}: "
                                   "no closed form and more than one chart")
-            from scipy.sparse import coo_matrix
+            from scipy.sparse import csr_matrix
 
             (box,) = self.charts.values()
-            h = (box.hi - box.lo) / np.where(box.periodic, n, n - 1)
-            steps = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)])
-            ij = np.indices((n, n)).reshape(2, -1).T
-            to = ij[:, None] + steps
-            src, k = np.nonzero(np.all(np.asarray(box.periodic) | ((to >= 0) & (to < n)), axis=-1))
-            dst = np.ravel_multi_index(to[src, k].T, (n, n), mode="wrap")
-            x = box.lo + ij[src] * h
-            w = midpoint_rule(self, box.name, x, x + steps[k] * h)[0]
-            self._mesh_cache[n] = box, h, coo_matrix((w, (src, dst)), shape=(n * n, n * n)).tocsr()
+            h, a, b, indices, indptr = _mesh_grid(n, tuple(box.lo.tolist()), tuple(box.hi.tolist()),
+                                                  tuple(box.periodic))
+            w = midpoint_rule(self, box.name, a, b)[0]
+            self._mesh_cache[n] = box, h, csr_matrix((w, indices, indptr), shape=(n * n, n * n))
         return self._mesh_cache[n]
+
+
+@functools.lru_cache(maxsize=4)
+def _mesh_grid(n, lo, hi, periodic):
+    """The metric-free part of the n x n distance grid on the chart box from
+    ``lo`` to ``hi`` (tuples), built once per box: ``(h, a, b, indices,
+    indptr)``, all read-only.  Node ``(i, j)`` sits at ``lo + (i, j) * h``
+    with flat index ``i * n + j``.
+
+    A periodic axis has n nodes without its endpoint and wraps mod n; a
+    closed one has n nodes from lo to hi, so an odd n puts a node row on
+    its midline.  Every node links to its king and knight neighbours.
+    Edge e runs from node ``a[e]`` along its short step to ``b[e]``, which
+    lies past ``hi`` on a periodic axis where the edge wraps; the edges are
+    in CSR order (by source node, then target node), so ``indices`` and
+    ``indptr`` take the edge weights as they are.
+    """
+    lo, hi = np.array(lo), np.array(hi)
+    h = (hi - lo) / np.where(periodic, n, n - 1)
+    steps = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)])
+    ij = np.indices((n, n)).reshape(2, -1).T
+    to = ij[:, None] + steps
+    src, k = np.nonzero(np.all(np.asarray(periodic) | ((to >= 0) & (to < n)), axis=-1))
+    dst = np.ravel_multi_index(to[src, k].T, (n, n), mode="wrap")
+    order = np.argsort(src * n * n + dst, kind="stable")      # nearly sorted already
+    src, k, dst = src[order], k[order], dst[order]
+    a = lo + ij[src] * h
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n * n), out=indptr[1:])
+    grid = h, a, a + steps[k] * h, dst.astype(np.int32), indptr
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +319,14 @@ class FlatTorus(Surface):
     closed_form_distances = True
 
     def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
-        P = self.wrap(chart_p, P)[:, None, None]
-        Q = self.wrap(chart_q, Q)[None, :, None]
-        shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-        d = Q + shifts - P
-        return np.min(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
+        """Flat distances by the per-axis minimum image: each coordinate
+        difference d becomes d - rint(d), in [-1/2, 1/2], so every pair has
+        one candidate and unwrapped points need no :meth:`wrap`."""
+        P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+        d = [Q[None, :, k] - P[:, None, k] for k in range(2)]
+        for dk in d:
+            dk -= np.rint(dk)
+        return np.hypot(*d)
 
 
 # ---------------------------------------------------------------------------

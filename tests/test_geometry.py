@@ -1,15 +1,20 @@
 """Charts, metrics, quadrature and the three model surfaces."""
 
 import configparser
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from geonets import (ConformalFamily, DomainError, Dumbbell, FlatTorus,
                      ScalarField, Sphere, constant_field,
                      load_surface, surface_average, surface_integral, volume)
-from geonets.surfaces import _QUAD_BLOCK, DumbbellWidthFamily, _area_integrals, _det2
+from geonets.surfaces import (_QUAD_BLOCK, DumbbellWidthFamily, _area_integrals, _det2, _mesh_grid,
+                              midpoint_rule)
 
 
 def test_torus_metric_is_identity(torus, rng):
@@ -253,6 +258,84 @@ def test_pairwise_distances_match_references(torus, dumbbell, rng):
         assert D[a, b] == ref
     assert D[0, 6] == D[8, 4] == 0.0
     assert dumbbell.distance("main", P[6], "main", P[8]) == D[6, 6]
+
+
+def _nine_shift_distances(P, Q):
+    """Torus distances as first computed: both point sets wrapped into the
+    unit square, then the least of the nine lattice shifts of each pair."""
+    P = np.mod(P, 1.0)[:, None, None]
+    Q = np.mod(Q, 1.0)[None, :, None]
+    shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+    d = Q + shifts - P
+    return np.min(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
+
+
+def _points(coordinate):
+    return st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6).map(
+        lambda p: np.array(p, dtype=float))
+
+
+_lattice = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).map(np.array)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(P=_points(st.floats(-1.5, 2.5)), Q=_points(st.floats(-1.5, 2.5)), k=_lattice, m=_lattice)
+def test_torus_minimum_image_matches_nine_shifts(torus, P, Q, k, m):
+    D = torus.distances("main", P, "main", Q)
+    assert np.max(np.abs(D - _nine_shift_distances(P, Q))) <= 1e-15
+    assert np.array_equal(D, torus.distances("main", Q, "main", P).T)
+    # a shift of up to 1e3 periods rounds the coordinates to ulp(1e3) = 1.1e-13
+    assert np.max(np.abs(D - torus.distances("main", P + k, "main", Q))) <= 1e-12
+    assert np.max(np.abs(D - torus.distances("main", P, "main", Q + m))) <= 1e-12
+    assert np.all(D <= np.sqrt(2) / 2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(P=_points(st.integers(-2**12, 2**12).map(lambda i: i / 2**10)), axis=st.integers(0, 1),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_torus_distance_is_half_across_half_a_period(torus, P, axis, sign):
+    # dyadic coordinates keep Q - P exact
+    Q = P + sign * 0.5 * np.eye(2)[axis]
+    assert np.all(np.diag(torus.distances("main", P, "main", Q)) == 0.5)
+
+
+def test_torus_distances_allocate_one_candidate_per_pair(torus, rng):
+    P, Q = rng.uniform(0, 1, size=(400, 2)), rng.uniform(0, 1, size=(400, 2))
+    tracemalloc.start()
+    try:
+        D = torus.distances("main", P, "main", Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * D.nbytes
+
+
+def _coo_mesh(surf, n):
+    """The distance mesh as first built, per surface: the stencil edges of
+    every node, weighted by the midpoint rule over their step, summed into
+    CSR through COO."""
+    (box,) = surf.charts.values()
+    h = (box.hi - box.lo) / np.where(box.periodic, n, n - 1)
+    steps = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)])
+    ij = np.indices((n, n)).reshape(2, -1).T
+    to = ij[:, None] + steps
+    src, k = np.nonzero(np.all(np.asarray(box.periodic) | ((to >= 0) & (to < n)), axis=-1))
+    dst = np.ravel_multi_index(to[src, k].T, (n, n), mode="wrap")
+    x = box.lo + ij[src] * h
+    w = midpoint_rule(surf, box.name, x, x + steps[k] * h)[0]
+    return coo_matrix((w, (src, dst)), shape=(n * n, n * n)).tocsr()
+
+
+def test_mesh_shares_its_grid_and_keeps_the_coo_weights():
+    family = DumbbellWidthFamily(Dumbbell())
+    for surf in (Dumbbell(), family.at(0.2)):
+        graph, ref = surf._mesh(97)[2].tocoo(), _coo_mesh(surf, 97).tocoo()
+        for got, want in [(graph.row, ref.row), (graph.col, ref.col), (graph.data, ref.data)]:
+            assert np.array_equal(got, want)
+    built = _mesh_grid.cache_info()
+    family.at(-0.1)._mesh(97)
+    assert _mesh_grid.cache_info().misses == built.misses
+    assert _mesh_grid.cache_info().hits == built.hits + 1
 
 
 def test_dumbbell_mesh_matches_stencil_loop(dumbbell, rng):

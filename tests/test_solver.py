@@ -481,6 +481,35 @@ def test_tracker_raises_when_chord_steps_do_not_settle(torus):
         track(family.at([0.3]))
 
 
+def test_one_hessian_callers_drop_the_scatter_index(torus, monkeypatch):
+    net = torus_geodesic((1, 0), samples=32)
+    track = stationary_tracker(net, torus)
+    reachable, stack = [], [cell.cell_contents for cell in track.__closure__]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (_Dofs, _NormalDofs)) and not any(obj is r for r in reachable):
+            reachable.append(obj)
+            stack.extend(vars(obj).values())
+    dofs = [obj for obj in reachable if isinstance(obj, _Dofs)]
+    assert dofs and not any("hessian_index" in vars(d) for d in dofs)
+
+    made, eigvalsh = [], np.linalg.eigvalsh
+
+    class Recorded(_Dofs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def spy(H):
+        assert made and not any("hessian_index" in vars(d) for d in made)
+        return eigvalsh(H)
+
+    monkeypatch.setattr(solver, "_Dofs", Recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    second_variation_spectrum(net, torus)
+    assert made
+
+
 @pytest.fixture(scope="module")
 def solved_theta(torus):
     return solve_stationary(torus_theta_net(FERMAT_TRIANGLES[0], samples=16), torus).net
