@@ -1,12 +1,18 @@
 """Experiment runner: every pipeline as a subcommand with CSV/JSON output.
 
-Subcommands: solve-net, check-variation, dumbbell, widths, partition,
-equidistribute, selftest.  Exit code 0 on success, 1 on assertion
-failure, 2 on configuration errors and on the library's ``ValueError``
-(``DomainError``, ``DegenerateNetError``, unparsable numbers).  CSV
-outputs embed the config hash, the seed and a subcommand's summary values
-(such as the slope gap or the bump count) as ``# key = value`` comment
-lines; JSON outputs carry the hash and the seed under ``meta``.
+Each subcommand is one function of :data:`PIPELINES`, ``(cfg, seed) ->``
+:class:`Run`: its output files, its named checks and a one-line summary.
+The acceptance suite calls the same functions.  :func:`main` alone writes
+the files into ``--out`` and prints the summary, to stdout under
+``--verbose`` and to stderr, with the labels of the failed checks, when a
+check fails.  Exit code 0 when every check holds, 1 when one fails, 2 on
+configuration errors and on the library's ``ValueError`` (``DomainError``,
+``DegenerateNetError``, unparsable numbers).  ``solve-net``, ``widths``
+and ``equidistribute`` run on the torus only and exit 2 on any other
+``[surface] kind``; ``dumbbell`` reads ``[surface] neck`` and ``bell``.
+CSV outputs embed the config hash, the seed and a subcommand's summary
+values (such as the slope gap or the bump count) as ``# key = value``
+comment lines; JSON outputs carry the hash and the seed under ``meta``.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +46,12 @@ class ConfigError(ValueError):
     pass
 
 
+class Run(NamedTuple):
+    files: dict       # output file name -> text
+    checks: dict      # check label -> whether it held
+    summary: str      # what the subcommand prints
+
+
 def _config_hash(cfg):
     items = []
     for section in sorted(cfg.sections()):
@@ -46,35 +60,33 @@ def _config_hash(cfg):
     return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
 
 
-def _write_csv(path, meta, columns, rows):
-    with open(path, "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k} = {v}\n")
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(columns)
-        out.writerows([row[c] for c in columns] for row in rows)
+def _csv(meta, columns, rows):
+    fh = io.StringIO()
+    for k, v in meta.items():
+        fh.write(f"# {k} = {v}\n")
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows([row[c] for c in columns] for row in rows)
+    return fh.getvalue()
 
 
-def _meta(args, cfg, **extra):
-    meta = {"config_hash": _config_hash(cfg), "seed": args.seed}
-    meta.update(extra)
-    return meta
+def _meta(cfg, seed, **extra):
+    return {"config_hash": _config_hash(cfg), "seed": seed, **extra}
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _torus(cfg, command):
+    surface = surfaces.load_surface(cfg)
+    if not isinstance(surface, surfaces.FlatTorus):
+        raise ConfigError(f"{command} runs on the torus only, not on a {surface.name}")
+    return surface
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve_net(args, cfg):
-    surface = surfaces.load_surface(cfg)
-    if not isinstance(surface, surfaces.FlatTorus):
-        raise ConfigError(f"solve-net builds torus nets only, not nets on a {surface.name}")
+def solve_net(cfg, seed):
+    torus = _torus(cfg, "solve-net")
     net_cfg = cfg["net"] if cfg.has_section("net") else {}
     kind = net_cfg.get("kind", "theta")
     if kind == "theta":
@@ -86,79 +98,67 @@ def cmd_solve_net(args, cfg):
     else:
         raise ConfigError(f"unknown net kind {kind!r}")
     tol = float(cfg.get("solver", "tol", fallback="1e-8"))
-    result = solver.solve_stationary(init, surface, tol=tol)
-    out = _outdir(args)
-    (out / "net.json").write_text(result.net.to_json())
-    record = {
+    result = solver.solve_stationary(init, torus, tol=tol)
+    report = json.dumps({
         "converged": result.converged,
         "status": result.status,
         "iterations": result.iterations,
         "length": result.length,
         "residual": result.residual,
         "trace": result.trace,
-        "meta": _meta(args, cfg),
-    }
-    (out / "solve_report.json").write_text(json.dumps(record, indent=2))
-    if args.verbose:
-        print(json.dumps(record, indent=2))
-    return 0 if result.converged else 1
+        "meta": _meta(cfg, seed),
+    }, indent=2)
+    return Run({"net.json": result.net.to_json(), "solve_report.json": report},
+               {"converged": result.converged}, report)
 
 
-def cmd_check_variation(args, cfg):
+def check_variation(cfg, seed):
     rows = variation.run_battery()
-    out = _outdir(args)
-    _write_csv(out / "variation_battery.csv", _meta(args, cfg),
-               ["net", "direction", "analytic", "fd", "abs_error", "tolerance", "passed"],
-               [{"net": r.net_name, "direction": r.direction,
-                 "analytic": r.analytic, "fd": r.fd, "abs_error": r.abs_error,
-                 "tolerance": r.tolerance, "passed": r.passed} for r in rows])
-    bad = [r for r in rows if not r.passed]
-    if args.verbose or bad:
-        print(f"variation battery: {len(rows) - len(bad)}/{len(rows)} within tolerance",
-              file=sys.stderr if bad else sys.stdout)
-    return 1 if bad else 0
+    passed = sum(r.passed for r in rows)
+    table = _csv(_meta(cfg, seed),
+                 ["net", "direction", "analytic", "fd", "abs_error", "tolerance", "passed"],
+                 [{"net": r.net_name, "direction": r.direction,
+                   "analytic": r.analytic, "fd": r.fd, "abs_error": r.abs_error,
+                   "tolerance": r.tolerance, "passed": r.passed} for r in rows])
+    return Run({"variation_battery.csv": table},
+               {"every row within tolerance": passed == len(rows)},
+               f"variation battery: {passed}/{len(rows)} within tolerance")
 
 
-def cmd_dumbbell(args, cfg):
-    base = surfaces.Dumbbell(neck=surfaces.surface_parameter(cfg["surface"], "neck", 0.2))
+def dumbbell(cfg, seed):
+    base = surfaces.load_surface(dict(cfg["surface"], kind="dumbbell"))
     c = base.great_circle_length
     rows, slope_plus, slope_minus = minmax.dumbbell_kink(base)
     worst = max(r["rel_error"] for r in rows)
     gap = slope_plus - slope_minus
     kink = abs(gap) > 10 * 1e-5
-    out = _outdir(args)
-    _write_csv(out / "dumbbell_width.csv",
-               _meta(args, cfg, slope_gap=gap, kink=kink, great_circle=c),
-               ["t", "upper_bound", "model", "rel_error", "realizer"], rows)
-    ok = worst <= 0.02 and kink and abs(abs(gap) - 2 * c) <= 0.05 * 2 * c
-    if args.verbose or not ok:
-        print(f"dumbbell: worst rel error {worst:.3e}, slope gap {gap:.6f} "
-              f"(model {2 * c:.6f}), kink={kink}",
-              file=sys.stdout if ok else sys.stderr)
-    return 0 if ok else 1
+    table = _csv(_meta(cfg, seed, slope_gap=gap, kink=kink, great_circle=c),
+                 ["t", "upper_bound", "model", "rel_error", "realizer"], rows)
+    return Run({"dumbbell_width.csv": table},
+               {"widths within 2 % of c(1 + |t|)": worst <= 0.02,
+                "kink at t = 0": kink,
+                "slope gap within 5 % of 2c": abs(abs(gap) - 2 * c) <= 0.05 * 2 * c},
+               f"dumbbell: worst rel error {worst:.3e}, slope gap {gap:.6f} "
+               f"(model {2 * c:.6f}), kink={kink}")
 
 
-def cmd_widths(args, cfg):
-    torus = surfaces.FlatTorus()
-    family = surfaces.ConformalFamily(torus, [surfaces.constant_field(1.0)])
-    t_grid = np.linspace(-0.3, 0.3, 7)
-    table = minmax.weyl_ratio_probe(family, [1, 4, 9], t_grid)
-    out = _outdir(args)
-    _write_csv(out / "weyl_ratios.csv", _meta(args, cfg, surface="torus"),
-               ["p", "t", "upper_bound", "h_p"], table.rows)
+def widths(cfg, seed):
+    family = surfaces.ConformalFamily(_torus(cfg, "widths"), [surfaces.constant_field(1.0)])
+    table = minmax.weyl_ratio_probe(family, [1, 4, 9], np.linspace(-0.3, 0.3, 7))
     spread = max(max(table.column(p, "h_p")) - min(table.column(p, "h_p"))
                  for p in (1, 4, 9))
-    if args.verbose:
-        print(f"widths: h_p spread over t = {spread:.3e}")
-    return 0 if spread <= 1e-10 else 1
+    return Run({"weyl_ratios.csv": _csv(_meta(cfg, seed, surface="torus"),
+                                        ["p", "t", "upper_bound", "h_p"], table.rows)},
+               {"h_p constant in t": spread <= 1e-10},
+               f"widths: h_p spread over t = {spread:.3e}")
 
 
-def cmd_partition(args, cfg):
+def partition(cfg, seed):
     surface = surfaces.load_surface(cfg)
     eps1 = float(cfg.get("partition", "eps1", fallback="0.3"))
     k_min = int(cfg.get("partition", "k_min", fallback="4"))
     bumps = equidist.build_partition(surface, eps1, k_min)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     chart = next(iter(surface.charts.values()))
     pts = rng.uniform(chart.lo, chart.hi, size=(2000, 2))
     total = np.sum(bumps.psi_values(chart.name, pts), axis=0)
@@ -167,122 +167,112 @@ def cmd_partition(args, cfg):
         "center_chart": r["center"][0],
         "center_x": float(r["center"][1][0]), "center_y": float(r["center"][1][1])}
         for k, r in enumerate(bumps.regions)]
-    out = _outdir(args)
-    _write_csv(out / "partition.csv",
-               _meta(args, cfg, K=bumps.K, eps1=eps1, normalization_error=norm_err),
-               ["k", "descriptor", "center_chart", "center_x", "center_y"], rows)
-    if args.verbose:
-        print(f"partition: K={bumps.K}, max |sum psi - 1| = {norm_err:.3e}")
-    return 0 if norm_err <= 1e-10 else 1
+    table = _csv(_meta(cfg, seed, K=bumps.K, eps1=eps1, normalization_error=norm_err),
+                 ["k", "descriptor", "center_chart", "center_x", "center_y"], rows)
+    return Run({"partition.csv": table},
+               {"partition of unity": norm_err <= 1e-10},
+               f"partition: K={bumps.K}, max |sum psi - 1| = {norm_err:.3e}")
 
 
-def cmd_equidistribute(args, cfg):
-    torus = surfaces.FlatTorus()
+#: Fourier modes (a, b) of cos 2pi(ax + by); the (k, 1) line integrates each
+#: to zero unless ak + b = 0
+_MODES = np.array([(1, 0), (0, 1), (1, -1), (2, 3)])
+
+
+def equidistribute(cfg, seed):
+    torus = _torus(cfg, "equidistribute")
     k_max = int(cfg.get("equidist", "k_max", fallback="200"))
 
     def bump(chart, x):
         x = np.asarray(x, dtype=float)
         return 0.25 * (1 + np.cos(2 * np.pi * x[..., 0])) * (1 + np.cos(2 * np.pi * x[..., 1]))
 
+    def waves(chart, x):
+        return np.cos(2 * np.pi * (_MODES @ np.asarray(x, dtype=float).T))
+
     fld = surfaces.ScalarField(bump, name="mass-0.25 bump")
     sequence = [nets.torus_geodesic((k, 1), samples=max(64, 4 * k)) for k in range(1, k_max + 1)]
     series = equidist.running_ratio(sequence, fld, torus)
-    out = _outdir(args)
-    _write_csv(out / "running_ratio.csv", _meta(args, cfg, k_max=k_max),
-               ["k", "ratio"],
-               [{"k": k + 1, "ratio": float(v)} for k, v in enumerate(series)])
-    err = abs(series[-1] - 0.25)
-    if args.verbose:
-        print(f"equidistribute: final ratio {series[-1]:.6f} (target 0.25)")
-    return 0 if err <= 0.01 else 1
+    fourier = max(abs(v) for k, net in enumerate(sequence, 1)
+                  for (a, b), v in zip(_MODES, net.integrate(waves, torus)) if a * k + b)
+    table = _csv(_meta(cfg, seed, k_max=k_max), ["k", "ratio"],
+                 [{"k": k + 1, "ratio": float(v)} for k, v in enumerate(series)])
+    return Run({"running_ratio.csv": table},
+               {"final ratio within 0.01 of 0.25": abs(series[-1] - 0.25) <= 0.01,
+                "Fourier-mode integrals vanish": fourier <= 1e-10},
+               f"equidistribute: final ratio {series[-1]:.6f} (target 0.25), "
+               f"worst Fourier-mode integral {fourier:.3e}")
 
 
-def cmd_selftest(args, cfg):
-    failures = []
-    rng = np.random.default_rng(args.seed)
+def selftest(cfg, seed):
+    rng = np.random.default_rng(seed)
     torus = surfaces.FlatTorus()
-
-    # reparametrization invariance of length and integrals
     net = nets.torus_geodesic((3, 4), samples=200)
+    length = net.length(torus)
     fld = surfaces.ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 1]))
     re = net.resample(torus, 333)
-    if abs(re.length(torus) - net.length(torus)) > 1e-9 * net.length(torus):
-        failures.append("length reparametrization invariance")
-    if abs(re.integrate(fld, torus) - net.integrate(fld, torus)) > 1e-8:
-        failures.append("integral reparametrization invariance")
-    rev = net.reversed_edge(0)
-    if abs(rev.length(torus) - net.length(torus)) > 1e-12:
-        failures.append("orientation reversal invariance")
-
-    # conformal length law
     c = 0.37
     scaled = surfaces.ConformalFamily(torus, [surfaces.constant_field(1.0)]).at([c])
-    if abs(net.length(scaled) - np.exp(c) * net.length(torus)) > 1e-10 * net.length(scaled):
-        failures.append("conformal length law")
-
-    # multiplicity linearity (exact)
     doubled = nets.torus_geodesic((3, 4), samples=200, mult=2)
-    if doubled.length(torus) != 2.0 * net.length(torus):
-        failures.append("multiplicity linearity")
-
-    # partition of unity normalization
     bumps = equidist.build_partition(torus, 0.3, 4)
-    pts = rng.uniform(0.0, 1.0, size=(10000, 2))
-    total = np.sum(bumps.psi_values("main", pts), axis=0)
-    if np.max(np.abs(total - 1.0)) > 1e-10:
-        failures.append("partition of unity normalization")
-
-    # SPD preservation of conformal scaling
-    sphere = surfaces.Sphere()
+    total = np.sum(bumps.psi_values("main", rng.uniform(0.0, 1.0, size=(10000, 2))), axis=0)
     psi = surfaces.ScalarField(lambda c_, x: np.sin(np.asarray(x)[..., 0])
                                * np.cos(np.asarray(x)[..., 1]))
-    fam = surfaces.ConformalFamily(sphere, [psi]).at([0.4])
-    sample = rng.uniform(-1.0, 1.0, size=(10000, 2))
-    g = fam.metric("north", sample)
-    eig_min = np.min(np.linalg.eigvalsh(g))
-    if not eig_min > 0:
-        failures.append("SPD preservation")
+    sphere = surfaces.ConformalFamily(surfaces.Sphere(), [psi]).at([0.4])
+    g = sphere.metric("north", rng.uniform(-1.0, 1.0, size=(10000, 2)))
+    checks = {
+        "length reparametrization invariance": abs(re.length(torus) - length) <= 1e-9 * length,
+        "integral reparametrization invariance":
+            abs(re.integrate(fld, torus) - net.integrate(fld, torus)) <= 1e-8,
+        "orientation reversal invariance": abs(net.reversed_edge(0).length(torus) - length) <= 1e-12,
+        "conformal length law":
+            abs(net.length(scaled) - np.exp(c) * length) <= 1e-10 * net.length(scaled),
+        "multiplicity linearity": doubled.length(torus) == 2.0 * length,
+        "partition of unity normalization": np.max(np.abs(total - 1.0)) <= 1e-10,
+        "SPD preservation": np.min(np.linalg.eigvalsh(g)) > 0,
+    }
+    failures = [label for label, ok in checks.items() if not ok]
+    record = {"failures": failures, "meta": _meta(cfg, seed)}
+    return Run({"selftest.json": json.dumps(record, indent=2)}, checks,
+               f"selftest: {len(checks) - len(failures)}/{len(checks)} invariance properties hold"
+               if failures else "selftest: all invariance properties hold")
 
-    out = _outdir(args)
-    record = {"failures": failures, "meta": _meta(args, cfg)}
-    (out / "selftest.json").write_text(json.dumps(record, indent=2))
-    for f in failures:
-        print(f"selftest failure: {f}", file=sys.stderr)
-    if args.verbose and not failures:
-        print("selftest: all invariance properties hold")
-    return 1 if failures else 0
 
-
-COMMANDS = {
-    "solve-net": cmd_solve_net,
-    "check-variation": cmd_check_variation,
-    "dumbbell": cmd_dumbbell,
-    "widths": cmd_widths,
-    "partition": cmd_partition,
-    "equidistribute": cmd_equidistribute,
-    "selftest": cmd_selftest,
+PIPELINES = {
+    "solve-net": solve_net,
+    "check-variation": check_variation,
+    "dumbbell": dumbbell,
+    "widths": widths,
+    "partition": partition,
+    "equidistribute": equidistribute,
+    "selftest": selftest,
 }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="geonets",
                                      description="stationary geodesic network experiments")
-    parser.add_argument("subcommand", choices=sorted(COMMANDS))
+    parser.add_argument("subcommand", choices=sorted(PIPELINES))
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-    except (ConfigError, configparser.Error) as exc:
+        run = PIPELINES[args.subcommand](_load_config(args.config), args.seed)
+    except (ValueError, configparser.Error) as exc:   # ConfigError, DomainError, DegenerateNetError, bad numbers
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return COMMANDS[args.subcommand](args, cfg)
-    except ValueError as exc:   # ConfigError, DomainError, DegenerateNetError, bad numbers
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in run.files.items():
+        (out / name).write_text(text)
+    failed = [label for label, ok in run.checks.items() if not ok]
+    if failed:
+        print(run.summary, f"failed: {', '.join(failed)}", sep="\n", file=sys.stderr)
+    elif args.verbose:
+        print(run.summary)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -734,10 +734,15 @@ def _area_integrals(surface: Surface, n, fld: ScalarField | None):
     return np.array([math.fsum(col) for col in zip(*parts)])
 
 
-def _richardson(surface: Surface, n, fld):
-    """:func:`_area_integrals` with the h^2 error term cancelled by a
-    second grid of twice the resolution."""
-    return (4.0 * _area_integrals(surface, 2 * n, fld) - _area_integrals(surface, n, fld)) / 3.0
+def _richardson(coarse, fine):
+    """Richardson extrapolation of an h^2-accurate estimate from its values
+    at steps h (``coarse``) and h/2 (``fine``): the h^2 term cancels."""
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _extrapolated_integrals(surface: Surface, n, fld):
+    """:func:`_area_integrals` on the n- and 2n-grids, Richardson-extrapolated."""
+    return _richardson(_area_integrals(surface, n, fld), _area_integrals(surface, 2 * n, fld))
 
 
 def volume(surface: Surface, n=256):
@@ -745,16 +750,16 @@ def volume(surface: Surface, n=256):
     its h^2 error term cancelled by a second evaluation at twice the
     resolution; deterministic for a fixed ``n``.
     """
-    return float(_richardson(surface, n, None)[0])
+    return float(_extrapolated_integrals(surface, n, None)[0])
 
 
 def surface_integral(surface: Surface, fld: ScalarField, n=256):
     """Integral of a scalar field over the surface (same rule as volume)."""
-    return float(_richardson(surface, n, fld)[1])
+    return float(_extrapolated_integrals(surface, n, fld)[1])
 
 
 def surface_average(surface: Surface, fld: ScalarField, n=256):
-    area, integral = _richardson(surface, n, fld)
+    area, integral = _extrapolated_integrals(surface, n, fld)
     return float(integral / area)
 
 

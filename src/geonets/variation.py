@@ -18,7 +18,7 @@ import numpy as np
 
 from .nets import GammaNet, torus_geodesic, torus_theta_net
 from .solver import solve_stationary, stationarity_residual, stationary_tracker
-from .surfaces import ConformalFamily, DerivedSurface, FlatTorus, ScalarField, Surface
+from .surfaces import ConformalFamily, DerivedSurface, FlatTorus, ScalarField, Surface, _richardson
 
 
 @dataclass
@@ -77,9 +77,7 @@ def fd_length_derivative(net_family, metric_family, t) -> float:
     def central(step):
         return (L(t + step) - L(t - step)) / (2 * step)
 
-    d1 = central(1e-3)
-    d2 = central(1e-3 / 2)
-    return (4.0 * d2 - d1) / 3.0
+    return _richardson(central(1e-3), central(1e-3 / 2))
 
 
 def resolved_family(init: GammaNet, metric_family):

@@ -7,7 +7,6 @@ and asserts the same condition, so the suite doubles as a checklist.
 import time
 
 import numpy as np
-import pytest
 
 import geonets as gn
 from geonets import cli
@@ -20,17 +19,21 @@ def _report(label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
+def _pipeline(label, subcommand, seconds=np.inf):
+    """Run a ``geonets`` subcommand's pipeline under the default config:
+    every one of its checks holds, within ``seconds``."""
+    t0 = time.time()
+    run = cli.PIPELINES[subcommand](cli._load_config(None), 0)
+    elapsed = time.time() - t0
+    failed = [name for name, ok in run.checks.items() if not ok]
+    _report(label, not failed and elapsed <= seconds,
+            f"{run.summary}, failed checks {failed}, {elapsed:.1f}s")
+
+
 # -- 1 ----------------------------------------------------------------------
 
 def test_acceptance_01_first_variation_battery():
-    t0 = time.time()
-    rows = gn.run_battery()
-    elapsed = time.time() - t0
-    worst = max(r.abs_error for r in rows)
-    ok = all(r.passed for r in rows) and elapsed <= 60.0
-    _report("1 first-variation battery", ok,
-            f"{sum(r.passed for r in rows)}/{len(rows)} rows, "
-            f"worst |analytic-FD| {worst:.3e}, {elapsed:.1f}s")
+    _pipeline("1 first-variation battery", "check-variation", 60.0)
 
 
 # -- 2 ----------------------------------------------------------------------
@@ -74,57 +77,20 @@ def test_acceptance_03_vertex_balance(torus):
 
 # -- 4 ----------------------------------------------------------------------
 
-def test_acceptance_04_dumbbell_kink(dumbbell):
-    t0 = time.time()
-    c = dumbbell.great_circle_length
-    rows, slope_plus, slope_minus = gn.dumbbell_kink(dumbbell)
-    worst = 0.0
-    for r in rows:
-        worst = max(worst, abs(r["upper_bound"] - c * (1 + abs(r["t"]))) / (c * (1 + abs(r["t"]))))
-    gap = slope_plus - slope_minus
-    elapsed = time.time() - t0
-    ok = worst <= 0.02 and abs(abs(gap) - 2 * c) <= 0.05 * 2 * c and elapsed <= 300.0
-    _report("4 dumbbell kink", ok,
-            f"worst width rel error {worst:.2e}, slope gap {gap:.4f} "
-            f"(model {2 * c:.4f}), {elapsed:.1f}s")
+def test_acceptance_04_dumbbell_kink():
+    _pipeline("4 dumbbell kink", "dumbbell", 300.0)
 
 
 # -- 5 ----------------------------------------------------------------------
 
-def test_acceptance_05_weyl_ratio_invariance(torus):
-    family = gn.ConformalFamily(torus, [gn.constant_field(1.0)])
-    table = gn.weyl_ratio_probe(family, [1, 4, 9], np.linspace(-0.3, 0.3, 7))
-    spread = max(max(table.column(p, "h_p")) - min(table.column(p, "h_p"))
-                 for p in (1, 4, 9))
-    ok = spread <= 1e-10
-    _report("5 Weyl-ratio invariance", ok, f"max h_p spread over t = {spread:.2e}")
+def test_acceptance_05_weyl_ratio_invariance():
+    _pipeline("5 Weyl-ratio invariance", "widths")
 
 
 # -- 6 ----------------------------------------------------------------------
 
-def test_acceptance_06_torus_equidistribution(torus):
-    t0 = time.time()
-    worst = 0.0
-    seq = []
-    for k in range(1, 201):
-        net = gn.torus_geodesic((k, 1), samples=max(64, 4 * k))
-        seq.append(net)
-        for a, b in [(1, 0), (0, 1), (1, -1), (2, 3)]:
-            if a * k + b == 0:
-                continue
-            fld = gn.ScalarField(lambda c, x, a=a, b=b: np.cos(
-                2 * np.pi * (a * np.asarray(x)[..., 0] + b * np.asarray(x)[..., 1])))
-            worst = max(worst, abs(net.integrate(fld, torus)))
-    bump = gn.ScalarField(lambda c, x: 0.25
-                          * (1 + np.cos(2 * np.pi * np.asarray(x)[..., 0]))
-                          * (1 + np.cos(2 * np.pi * np.asarray(x)[..., 1])))
-    series = gn.running_ratio(seq, bump, torus)
-    ratio_err = abs(series[-1] - 0.25)
-    elapsed = time.time() - t0
-    ok = worst <= 1e-10 and ratio_err <= 0.01 and elapsed <= 120.0
-    _report("6 torus equidistribution", ok,
-            f"worst Fourier integral {worst:.2e}, final ratio error {ratio_err:.2e}, "
-            f"{elapsed:.1f}s")
+def test_acceptance_06_torus_equidistribution():
+    _pipeline("6 torus equidistribution", "equidistribute", 120.0)
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -248,9 +214,5 @@ def test_acceptance_10_merge_envelope():
 
 # -- 11 ---------------------------------------------------------------------
 
-def test_acceptance_11_invariance_selftest(tmp_path):
-    t0 = time.time()
-    rc = cli.main(["selftest", "--out", str(tmp_path)])
-    elapsed = time.time() - t0
-    ok = rc == 0 and elapsed <= 90.0
-    _report("11 invariance selftest", ok, f"exit code {rc}, {elapsed:.1f}s")
+def test_acceptance_11_invariance_selftest():
+    _pipeline("11 invariance selftest", "selftest", 90.0)

@@ -113,16 +113,28 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     ("partition", "[partition]\neps1 = -0.3\n"),              # once exit 0 with K = 4
     ("partition", "[partition]\neps1 = nan\n"),               # once a NaN-to-integer error
     ("solve-net", "[net]\nkind = geodesic\noffset = 0.1\n"),  # once read as (0.1, 0.1)
+    ("dumbbell", "[surface]\nbell = nan\n"),                 # once ignored, exit 0
+    ("widths", "[surface]\nkind = sphere\n"),                # once ran on the torus, exit 0
+    ("equidistribute", "[surface]\nkind = klein\n"),         # once ran on the torus, exit 0
 ], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell",
         "tol-nan", "tol-0", "tol-negative", "inj-nan-partition", "inj-nan-solve",
         "radius-inf", "neck-nan", "neck-0", "neck-negative", "eps1-0", "eps1-negative",
-        "eps1-nan", "offset-scalar"])
+        "eps1-nan", "offset-scalar", "bell-nan", "widths-sphere", "equidistribute-klein"])
 def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     rc = cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_check_prints_its_summary(tmp_path, capsys):
+    # a failed check once exited 1 without a word
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[equidist]\nk_max = 1\n")
+    rc = cli.main(["equidistribute", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "equidistribute: final ratio 0.375000" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from geonets import (ConformalFamily, Edge, GammaNet, ScalarField, WeightedMultigraph,
-                     birkhoff_shorten, build_sweepout, constant_field,
-                     dumbbell_realizer, dumbbell_width, minmax_upper_bound,
-                     sphere_latitude, torus_geodesic, weyl_ratio_probe)
+                     birkhoff_shorten, build_sweepout, dumbbell_realizer, dumbbell_width,
+                     minmax_upper_bound, sphere_latitude)
 from geonets.minmax import _birkhoff_sweep
 from geonets.surfaces import Dumbbell, DumbbellWidthFamily
 
@@ -169,11 +168,3 @@ def test_dumbbell_profile_width_tracks_model(dumbbell):
         sw = build_sweepout(metric, 1, "profile")
         est = minmax_upper_bound(sw, metric)
         assert est.upper_bound == pytest.approx(c * (1 + abs(t)), rel=1e-6)
-
-
-def test_weyl_ratio_invariance(torus):
-    family = ConformalFamily(torus, [constant_field(1.0)])
-    table = weyl_ratio_probe(family, [1, 4], np.linspace(-0.2, 0.2, 3))
-    for p in (1, 4):
-        col = table.column(p, "h_p")
-        assert max(col) - min(col) <= 1e-10
