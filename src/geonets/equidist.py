@@ -19,7 +19,8 @@ import numpy as np
 
 from .nets import DegenerateNetError
 from .surfaces import (_QUAD_BLOCK, Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
-                       _det2, _root_surface, _smoothstep, _smoothstep_deriv, surface_average)
+                       _positive_int, _root_surface, _smoothstep, _smoothstep_deriv,
+                       surface_average)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +296,7 @@ def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
     Cached on the bump system per metric object (held weakly, so a freed
     metric's entry goes with it) and grid size.
     """
+    _positive_int("vol_n", n)
     cache = getattr(bumps, "_avg_cache", None)
     if cache is None:
         cache = bumps._avg_cache = weakref.WeakKeyDictionary()
@@ -303,7 +305,7 @@ def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
         sums = np.zeros(bumps.K)
         total = 0.0
         for chart, pts, w in metric.quadrature(n):
-            dens = w * np.sqrt(_det2(metric.metric(chart, pts)))
+            dens = w * metric.area_density(chart, pts)
             sums += bumps._volume_sums(chart, pts, dens)
             total += float(np.sum(dens))
         per_metric[n] = sums / total

@@ -13,17 +13,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import Edge, GammaNet, WeightedMultigraph, dumbbell_circle, sphere_latitude
+from .nets import (Edge, GammaNet, WeightedMultigraph, _coordinate_circles, _latitude_points,
+                   _net_length)
 from .solver import solve_stationary
 from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface,
-                       _root_surface, midpoint_rule, volume)
+                       _positive_int, _root_surface, midpoint_rule, volume)
 
 
 @dataclass
 class Sweepout:
+    """A sweepout family over ``grid``, its slices unions of closed loops.
+
+    ``slices(cs)`` gives, for an array of G parameters, the chart of each
+    slice, shape ``(G,)``, and the samples of its k loops, ``(G, k, m, 2)``.
+    :meth:`lengths` measures a whole grid in one :func:`midpoint_rule` call
+    per chart, so one metric call per grid on a one-chart surface.
+    """
+
     p: int
     grid: np.ndarray
-    cycle_fn: object            # parameter -> GammaNet
+    slices: object
+
+    def cycle_fn(self, c):
+        """The slice at parameter ``c`` as a net: loop j from vertex ``v{j}``."""
+        (chart,), (loops,) = self.slices(np.array([c], dtype=float))
+        chart = str(chart)
+        verts = [f"v{j}" for j in range(len(loops))]
+        graph = WeightedMultigraph(verts, [Edge(v, v) for v in verts])
+        return GammaNet(graph, {v: (chart, pts[0].copy()) for v, pts in zip(verts, loops)},
+                        [(chart, pts) for pts in loops])
+
+    def lengths(self, cs, metric: Surface):
+        """Length of the slice at every parameter of ``cs``, by the length
+        rule of :meth:`GammaNet.length`, so each length equals
+        ``cycle_fn(c).length(metric)`` bit for bit."""
+        charts, loops = self.slices(np.asarray(cs, dtype=float))
+        k, m = loops.shape[1:3]
+        out = np.empty(len(charts))
+        for chart in np.unique(charts):
+            sel = charts == chart
+            pts = loops[sel]
+            seg = midpoint_rule(metric, str(chart), pts[:, :, :-1].reshape(-1, 2),
+                                pts[:, :, 1:].reshape(-1, 2))[0]
+            out[sel] = _net_length([1] * k, np.moveaxis(seg.reshape(-1, k, m - 1), 1, 0))
+        return out
 
 
 @dataclass
@@ -46,74 +79,138 @@ class ShortenResult:
 # sweepout recipes
 # ---------------------------------------------------------------------------
 
-def _torus_circles(k, c, axis):
-    """k parallel 64-sample coordinate circles at offsets c + j/k on the unit torus."""
-    verts = [f"v{j}" for j in range(k)]
-    graph = WeightedMultigraph(verts, [Edge(v, v, 1) for v in verts])
-    t = np.linspace(0.0, 1.0, 64)
-    vp = {}
-    paths = []
-    for j, v in enumerate(verts):
-        level = c + j / k
-        if axis == "x":
-            pts = np.stack([np.full_like(t, level), t], axis=-1)
-        else:
-            pts = np.stack([t, np.full_like(t, level)], axis=-1)
-        vp[v] = ("main", pts[0].copy())
-        paths.append(("main", pts))
-    return GammaNet(graph, vp, paths)
-
-
 def build_sweepout(surface: Surface, p, recipe) -> Sweepout:
     """Level-set sweepout families on the three model surfaces.
 
     Recipes: ``x-levels`` / ``y-levels`` (torus; for p > 1 the slice is
-    ceil(sqrt(p)) parallel circles), ``latitude`` (sphere, p = 1; the
-    poles are zero-length latitudes) and ``profile`` (dumbbell parallel
-    circles, p = 1).
+    ceil(sqrt(p)) parallel 64-sample circles at offsets c + j/k),
+    ``latitude`` (sphere, p = 1; the poles are zero-length latitudes, and
+    each latitude lies in the chart of the nearer pole) and ``profile``
+    (dumbbell parallel circles, p = 1).  ``p`` must be a positive int.
+    The grid's slices are sample arrays that :meth:`Sweepout.lengths`
+    measures in one call.
     """
+    _positive_int("p", p)
     root = _root_surface(surface)
     if recipe in ("x-levels", "y-levels"):
         if not isinstance(root, FlatTorus):
             raise ValueError(f"recipe {recipe!r} needs a torus surface")
         k = math.ceil(math.sqrt(p))
-        axis = "x" if recipe == "x-levels" else "y"
-        grid = np.linspace(0.0, 1.0 / k, 33)
-        return Sweepout(p, grid, lambda c, k=k, axis=axis: _torus_circles(k, c, axis))
+        axis = 0 if recipe == "x-levels" else 1
+
+        def levels(cs):
+            return (np.full(len(cs), "main"),
+                    _coordinate_circles(cs[:, None] + np.arange(k) / k, axis, 1.0, 64))
+
+        return Sweepout(p, np.linspace(0.0, 1.0 / k, 33), levels)
     if recipe == "latitude":
         if not isinstance(root, Sphere) or p != 1:
             raise ValueError("recipe 'latitude' needs a sphere surface and p = 1")
-        return Sweepout(1, np.linspace(0.0, np.pi, 65), lambda colat: sphere_latitude(root, colat))
+
+        def latitudes(cs):
+            charts, pts = _latitude_points(cs, 256)
+            return charts, pts[:, None]
+
+        return Sweepout(1, np.linspace(0.0, np.pi, 65), latitudes)
     if recipe == "profile":
         if not isinstance(root, Dumbbell) or p != 1:
             raise ValueError("recipe 'profile' needs a dumbbell surface and p = 1")
         grid = np.linspace(root.u_margin, 1.0 - root.u_margin, 201)
-        return Sweepout(1, grid, lambda u: dumbbell_circle(root, u))
+        return Sweepout(1, grid, lambda cs: (np.full(len(cs), "main"),
+                                             _coordinate_circles(cs[:, None], 0, 2 * np.pi, 256)))
     raise ValueError(f"unsupported recipe/surface pair: {recipe!r} on {root.name}")
+
+
+#: absolute tolerance in x, and cap on evaluations, of :func:`_bounded_minimize`
+_XATOL = 1e-10
+_MAXFUN = 500
+
+
+def _bounded_minimize(f, a, b):
+    """``(x, f(x))`` at a local minimum of ``f`` on [a, b] by Brent's bounded
+    minimiser (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5): parabolic steps through the three best points,
+    golden-section steps where a parabola is not trusted.  A step-for-step
+    port of scipy's ``minimize_scalar(method="bounded")`` with ``xatol``
+    :data:`_XATOL` and ``maxiter`` :data:`_MAXFUN`."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
 
 
 def minmax_upper_bound(sweepout: Sweepout, metric: Surface) -> WidthEstimate:
     """Maximize cycle length over the sweepout grid; an upper bound only.
 
-    An interior grid maximum is refined by bounded scalar maximization of
-    the slice length.  ``maximizer`` is the sweepout parameter of the
-    longest slice.
+    The grid is measured in one :meth:`Sweepout.lengths` call.  An
+    interior grid maximum is refined by :func:`_bounded_minimize` of minus
+    the slice length between its grid neighbours.  ``maximizer`` is the
+    sweepout parameter of the longest slice.
     """
-
-    def slice_length(c):
-        return sweepout.cycle_fn(c).length(metric)
-
-    lengths = np.array([slice_length(c) for c in sweepout.grid])
+    lengths = sweepout.lengths(sweepout.grid, metric)
     i = int(np.argmax(lengths))
     best_c, best = float(sweepout.grid[i]), float(lengths[i])
     if 0 < i < len(sweepout.grid) - 1:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(lambda c: -slice_length(c), method="bounded",
-                              bounds=(sweepout.grid[i - 1], sweepout.grid[i + 1]),
-                              options={"xatol": 1e-10})
-        if -res.fun > best:
-            best_c, best = float(res.x), float(-res.fun)
+        x, fun = _bounded_minimize(lambda c: -float(sweepout.lengths([c], metric)[0]),
+                                   float(sweepout.grid[i - 1]), float(sweepout.grid[i + 1]))
+        if -fun > best:
+            best_c, best = x, -fun
     return WidthEstimate(p=sweepout.p, upper_bound=best, maximizer=best_c)
 
 

@@ -102,6 +102,14 @@ def theta_graph():
 # nets
 # ---------------------------------------------------------------------------
 
+def _net_length(mults, edge_segments):
+    """Multiplicity-weighted length from each edge's midpoint-rule segment
+    lengths: an edge's segments summed by ``np.sum`` over the last axis, the
+    weighted edges added in order from 0.0.  Segment arrays ``(G, m-1)``
+    give the lengths of G nets at once, as for a sweepout grid."""
+    return sum((mult * np.sum(seg, axis=-1) for mult, seg in zip(mults, edge_segments)), 0.0)
+
+
 class GammaNet:
     """Polyline realization of a multigraph on a surface.
 
@@ -139,7 +147,9 @@ class GammaNet:
 
     def length(self, metric: Surface):
         """Multiplicity-weighted total length."""
-        return sum((e.mult * L for e, L in zip(self.graph.edges, self.edge_lengths(metric))), 0.0)
+        return float(_net_length((e.mult for e in self.graph.edges),
+                                 (midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
+                                  for chart, pts in self.edge_paths)))
 
     def integrate(self, h, metric: Surface):
         """Weighted line integral of a field, trapezoid on samples.
@@ -158,13 +168,13 @@ class GammaNet:
     def _length_and_integral(self, h, metric):
         """:meth:`length` and :meth:`integrate` from one midpoint rule pass per edge."""
         value = h.value if hasattr(h, "value") else h
-        lengths, total = [], 0.0
+        segs, total = [], 0.0
         for e, (chart, pts) in zip(self.graph.edges, self.edge_paths):
             seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
             hv = np.asarray(value(chart, metric.wrap(chart, pts)))
-            lengths.append(float(np.sum(seg)))
+            segs.append(seg)
             total += e.mult * np.sum(0.5 * (hv[..., :-1] + hv[..., 1:]) * seg, axis=-1)
-        length = sum((e.mult * L for e, L in zip(self.graph.edges, lengths)), 0.0)
+        length = float(_net_length((e.mult for e in self.graph.edges), segs))
         return length, total if np.ndim(total) else float(total)
 
     def segment_trace_integral(self, tensor, metric: Surface):
@@ -248,20 +258,37 @@ def torus_geodesic(klass, offset=(0.0, 0.0), samples=128, mult=1):
     return GammaNet(loop_graph(mult), {"v": ("main", base)}, [("main", pts)])
 
 
+def _latitude_points(colats, samples):
+    """Charts ``(G,)`` and samples ``(G, samples, 2)`` of the latitude
+    circles at the colatitudes ``colats``, each in the chart of the nearer
+    pole."""
+    colats = np.asarray(colats, dtype=float)
+    north = colats <= np.pi / 2
+    rho = np.tan(np.where(north, colats, np.pi - colats) / 2.0)
+    t = np.linspace(0.0, 2 * np.pi, samples)
+    return (np.where(north, "north", "south"),
+            rho[:, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1))
+
+
 def sphere_latitude(sphere, colat, samples=256):
     """Latitude circle at colatitude ``colat``, in the chart of the nearer pole."""
-    chart = "north" if colat <= np.pi / 2 else "south"
-    ang = colat if chart == "north" else np.pi - colat
-    rho = np.tan(ang / 2.0)
-    t = np.linspace(0.0, 2 * np.pi, samples)
-    pts = rho * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    (chart,), (pts,) = _latitude_points([colat], samples)
+    chart = str(chart)
     return GammaNet(loop_graph(), {"v": (chart, pts[0].copy())}, [(chart, pts)])
+
+
+def _coordinate_circles(levels, axis, period, samples):
+    """Closed coordinate lines, ``(*levels.shape, samples, 2)``: coordinate
+    ``axis`` held at each level, the other running over [0, period]."""
+    pts = np.empty(levels.shape + (samples, 2))
+    pts[..., axis] = levels[..., None]
+    pts[..., 1 - axis] = np.linspace(0.0, period, samples)
+    return pts
 
 
 def dumbbell_circle(dumbbell, u, samples=256):
     """Parallel circle u = const on the dumbbell."""
-    t = np.linspace(0.0, 2 * np.pi, samples)
-    pts = np.stack([np.full_like(t, float(u)), t], axis=-1)
+    pts = _coordinate_circles(np.array(float(u)), 0, 2 * np.pi, samples)
     return GammaNet(loop_graph(), {"v": ("main", pts[0].copy())}, [("main", pts)])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,11 @@ class Surface:
         indexed ``[..., k, i, j]``."""
         raise NotImplementedError
 
+    def area_density(self, chart, x):
+        """Riemannian area density sqrt(det g) at ``x``, shape ``(...)``;
+        surfaces with a closed form override it."""
+        return np.sqrt(_det2(self.metric(chart, x)))
+
     def christoffel(self, chart, x):
         """Christoffel symbols of the second kind, ``(..., 2, 2, 2)``
         indexed ``[..., k, i, j]`` for Gamma^k_ij."""
@@ -159,7 +165,9 @@ class Surface:
 
         Returns a list of ``(chart, points, coord_weights)``; the weights
         carry the coordinate measure of the grid parametrization, so the
-        Riemannian area element is ``w * sqrt(det g)``.
+        Riemannian area element is ``w * area_density(chart, points)``
+        (:meth:`area_density`).  Constant weights may come as a read-only
+        broadcast of one number.
         """
         raise NotImplementedError
 
@@ -304,6 +312,9 @@ class FlatTorus(Surface):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2, 2, 2))
 
+    def area_density(self, chart, x):
+        return np.ones(np.shape(x)[:-1])
+
     def wrap(self, chart, x):
         return np.mod(np.asarray(x, dtype=float), 1.0)
 
@@ -314,7 +325,7 @@ class FlatTorus(Surface):
         t = (np.arange(n) + 0.5) / n
         pts = np.empty((n, n, 2))                   # filled in place: no meshgrid copies
         pts[..., 0], pts[..., 1] = t[:, None], t
-        return [("main", pts.reshape(-1, 2), np.full(n * n, 1.0 / (n * n)))]
+        return [("main", pts.reshape(-1, 2), np.broadcast_to(1.0 / (n * n), (n * n,)))]
 
     closed_form_distances = True
 
@@ -346,7 +357,7 @@ class Sphere(Surface):
 
     def __init__(self, radius=1.0):
         super().__init__()
-        self.radius = float(radius)
+        self.radius = surface_parameter("radius", radius)
         lo, hi = np.full(2, -3.0), np.full(2, 3.0)
         self.charts = {"north": Chart("north", lo, hi), "south": Chart("south", lo, hi)}
         self.injectivity_lower_bound = np.pi * self.radius
@@ -362,6 +373,10 @@ class Sphere(Surface):
         out[..., 0, 0] = lam
         out[..., 1, 1] = lam
         return out
+
+    def area_density(self, chart, x):
+        """The conformal factor itself: sqrt(lam^2) is lam in binary64."""
+        return self._factor(x)
 
     def metric_deriv(self, chart, x):
         x = np.asarray(x, dtype=float)
@@ -466,8 +481,8 @@ class Dumbbell(Surface):
 
     def __init__(self, neck=0.2, bell=1.0):
         super().__init__()
-        self.neck = float(neck)
-        self.bell = float(bell)
+        self.neck = surface_parameter("neck", neck)
+        self.bell = surface_parameter("bell", bell)
         self.charts = {"main": Chart("main", np.zeros(2), np.array([1.0, 2 * np.pi]),
                                      (False, True))}
         self.injectivity_lower_bound = self.neck
@@ -567,6 +582,10 @@ class _ScaledSurface(DerivedSurface):
         g = self.base.metric(chart, x)
         fac = np.exp(2.0 * self._phi(chart, x))
         return fac[..., None, None] * g
+
+    def area_density(self, chart, x):
+        """sqrt det(e^{2 phi} g) = e^{2 phi} sqrt det g on a 2-surface."""
+        return np.exp(2.0 * self._phi(chart, x)) * self.base.area_density(chart, x)
 
     def metric_deriv(self, chart, x):
         g = self.base.metric(chart, x)
@@ -721,14 +740,15 @@ _QUAD_BLOCK = 8192
 
 
 def _area_integrals(surface: Surface, n, fld: ScalarField | None):
-    """``[area, integral of fld]`` on the n-grid, one metric evaluation per
-    block of :data:`_QUAD_BLOCK` points, the block sums added by
-    ``math.fsum``; the integral reads 0 without a field."""
+    """``[area, integral of fld]`` on the n-grid, one
+    :meth:`Surface.area_density` evaluation per block of
+    :data:`_QUAD_BLOCK` points, the block sums added by ``math.fsum``; the
+    integral reads 0 without a field."""
     parts = []
     for chart, pts, w in surface.quadrature(n):
         for start in range(0, len(pts), _QUAD_BLOCK):
             x, wb = pts[start:start + _QUAD_BLOCK], w[start:start + _QUAD_BLOCK]
-            dens = np.sqrt(_det2(surface.metric(chart, x)))
+            dens = surface.area_density(chart, x)
             parts.append((np.sum(wb * dens),
                           0.0 if fld is None else np.sum(wb * (dens * fld.value(chart, x)))))
     return np.array([math.fsum(col) for col in zip(*parts)])
@@ -740,8 +760,17 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _positive_int(name, value):
+    """Raise ``ValueError`` naming the parameter unless ``value`` is a
+    positive int (a bool is not): the one check of a quadrature resolution
+    and of a sweepout's p."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def _extrapolated_integrals(surface: Surface, n, fld):
     """:func:`_area_integrals` on the n- and 2n-grids, Richardson-extrapolated."""
+    _positive_int("n", n)
     return _richardson(_area_integrals(surface, n, fld), _area_integrals(surface, 2 * n, fld))
 
 
@@ -767,10 +796,10 @@ def surface_average(surface: Surface, fld: ScalarField, n=256):
 # config loading
 # ---------------------------------------------------------------------------
 
-def surface_parameter(config, key, default):
-    """``config[key]``, or ``default`` when absent, as a finite positive
-    float: the one check of every numeric [surface] key."""
-    value = float(config.get(key, default))
+def surface_parameter(key, value):
+    """``value`` as a finite positive float: the one check of every numeric
+    surface parameter, in the constructors and in :func:`load_surface`."""
+    value = float(value)
     if not 0.0 < value < math.inf:
         raise DomainError(f"surface {key} must be finite and positive, got {value!r}")
     return value
@@ -781,20 +810,24 @@ def load_surface(config) -> Surface:
 
     Recognized keys: ``kind`` (torus | sphere | dumbbell), ``radius``,
     ``neck``, ``bell``, ``injectivity_bound``; the numeric ones pass
-    :func:`surface_parameter`.
+    :func:`surface_parameter`, the first three in the constructors.
     """
     if isinstance(config, configparser.ConfigParser):
         config = dict(config["surface"]) if config.has_section("surface") else dict(config.defaults())
     kind = str(config.get("kind", "torus")).lower()
+
+    def given(*keys):
+        return {k: config[k] for k in keys if k in config}
+
     if kind == "torus":
         surf = FlatTorus()
     elif kind == "sphere":
-        surf = Sphere(radius=surface_parameter(config, "radius", 1.0))
+        surf = Sphere(**given("radius"))
     elif kind == "dumbbell":
-        surf = Dumbbell(neck=surface_parameter(config, "neck", 0.2),
-                        bell=surface_parameter(config, "bell", 1.0))
+        surf = Dumbbell(**given("neck", "bell"))
     else:
         raise DomainError(f"unknown surface kind {kind!r}")
     if "injectivity_bound" in config:
-        surf.injectivity_lower_bound = surface_parameter(config, "injectivity_bound", None)
+        surf.injectivity_lower_bound = surface_parameter("injectivity_bound",
+                                                       config["injectivity_bound"])
     return surf

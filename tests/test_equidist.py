@@ -207,6 +207,17 @@ def test_transfer_bound(torus):
     assert lhs <= rhs
 
 
+@pytest.mark.parametrize("vol_n", [0, 2.5, -4, True, 64.0])
+@pytest.mark.parametrize("transfer", [False, True], ids=["discrepancy", "discrepancy_transfer"])
+def test_volume_resolution_must_be_a_positive_int(torus, transfer, vol_n):
+    bumps = build_partition(torus, 0.3)
+    with pytest.raises(ValueError, match=r"^vol_n must be a positive int"):
+        if transfer:
+            discrepancy_transfer(_grid_family(), torus, bumps, bumps.psi[0], 1.0, 1.0, vol_n=vol_n)
+        else:
+            discrepancy(_grid_family(), torus, bumps, vol_n=vol_n)
+
+
 def test_family_weight_validation():
     with pytest.raises(ValueError):
         WeightedNetFamily([torus_geodesic((1, 0))], [0.5])

@@ -1,6 +1,7 @@
 """Charts, metrics, quadrature and the three model surfaces."""
 
 import configparser
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from geonets import (ConformalFamily, DomainError, Dumbbell, FlatTorus,
                      load_surface, surface_average, surface_integral, volume)
 from geonets.surfaces import (_QUAD_BLOCK, DumbbellWidthFamily, _area_integrals, _det2, _mesh_grid,
                               midpoint_rule)
+from geonets.variation import LinearlyPerturbedSurface
 
 
 def test_torus_metric_is_identity(torus, rng):
@@ -217,6 +219,98 @@ def test_blocked_area_integrals_match_one_shot(torus, sphere, dumbbell):
     family = ConformalFamily(torus, [constant_field(1.0)])
     for c in (-0.4, -0.1, 0.25, 0.4):
         assert abs(volume(family.at([c])) - np.exp(2 * c)) <= 1e-12
+
+
+def _tilted_torus():
+    """The torus plus 0.2 T for a T with an off-diagonal part: not conformal."""
+    def tensor(chart, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = np.cos(2 * np.pi * x[..., 0])
+        out[..., 0, 1] = out[..., 1, 0] = np.sin(2 * np.pi * x[..., 1])
+        return out
+
+    return LinearlyPerturbedSurface(FlatTorus(), tensor, None, 0.2)
+
+
+def _density_cases():
+    """``(surface, chart, exact)``: ``exact`` where sqrt det g is the
+    closed form bit for bit (isotropic bases and the plain dumbbell)."""
+    torus, sphere, dumbbell = FlatTorus(), Sphere(), Dumbbell()
+    wave = ScalarField(lambda c, x: np.sin(np.asarray(x)[..., 0]) * np.cos(np.asarray(x)[..., 1]))
+    conformal_sphere = ConformalFamily(sphere, [wave]).at([0.4])
+    return [(torus, "main", True), (sphere, "north", True), (sphere, "south", True),
+            (dumbbell, "main", True), (_cos_torus(torus), "main", True),
+            (conformal_sphere, "north", True), (conformal_sphere, "south", True),
+            (DumbbellWidthFamily(dumbbell).at(0.2), "main", False),
+            (_tilted_torus(), "main", True)]
+
+
+_DENSITY_CASES = _density_cases()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=8).map(np.array))
+def test_area_density_is_sqrt_det(unit):
+    for surf, chart, exact in _DENSITY_CASES:
+        box = surf.charts[chart]
+        x = box.lo + (box.hi - box.lo) * unit
+        got, ref = surf.area_density(chart, x), np.sqrt(_det2(surf.metric(chart, x)))
+        assert got.shape == ref.shape == (len(unit),)
+        if exact:
+            assert np.array_equal(got, ref), (surf.name, chart)
+        else:
+            assert np.allclose(got, ref, rtol=1e-15, atol=0), (surf.name, chart)
+
+
+def test_area_integrals_match_the_det_path():
+    fld = ScalarField(lambda c, x: 2.0 + np.sin(np.asarray(x)[..., 0])
+                      * np.cos(np.asarray(x)[..., 1]))
+    for surf, chart, exact in _DENSITY_CASES:
+        if chart == "south":
+            continue
+        parts = []
+        for ch, pts, w in surf.quadrature(96):
+            for s in range(0, len(pts), _QUAD_BLOCK):
+                x, wb = pts[s:s + _QUAD_BLOCK], w[s:s + _QUAD_BLOCK]
+                dens = np.sqrt(_det2(surf.metric(ch, x)))
+                parts.append((np.sum(wb * dens), np.sum(wb * (dens * fld.value(ch, x)))))
+        ref = np.array([math.fsum(col) for col in zip(*parts)])
+        got = _area_integrals(surf, 96, fld)
+        if exact:
+            assert np.array_equal(got, ref), surf.name
+        else:
+            assert np.allclose(got, ref, rtol=1e-14, atol=0), surf.name
+
+
+_QUADRATURE_CALLS = {
+    "volume": lambda surf, n: volume(surf, n),
+    "surface_integral": lambda surf, n: surface_integral(surf, constant_field(1.0), n),
+    "surface_average": lambda surf, n: surface_average(surf, constant_field(1.0), n),
+}
+
+
+@pytest.mark.parametrize("n", [0, 2.5, -4, True, 64.0])
+@pytest.mark.parametrize("call", sorted(_QUADRATURE_CALLS))
+def test_quadrature_resolution_must_be_a_positive_int(torus, call, n):
+    with pytest.raises(ValueError, match=r"^n must be a positive int"):
+        _QUADRATURE_CALLS[call](torus, n)
+
+
+def test_quadrature_resolution_takes_a_numpy_int(torus):
+    assert volume(torus, np.int64(8)) == volume(torus, 8)
+
+
+@pytest.mark.parametrize("make, key", [(lambda: Sphere(radius=-1.0), "radius"),
+                                       (lambda: Sphere(radius=0.0), "radius"),
+                                       (lambda: Dumbbell(neck=float("nan")), "neck"),
+                                       (lambda: Dumbbell(neck=0.0), "neck"),
+                                       (lambda: Dumbbell(bell=-1.0), "bell")],
+                         ids=["radius-negative", "radius-0", "neck-nan", "neck-0", "bell-negative"])
+def test_surface_constructors_check_their_parameters(make, key):
+    with pytest.raises(DomainError, match=f"surface {key} must be finite and positive"):
+        make()
 
 
 def test_pairwise_distances_match_references(torus, dumbbell, rng):

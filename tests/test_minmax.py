@@ -1,12 +1,16 @@
 """Sweepouts, curve shortening and width estimates."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from geonets import (ConformalFamily, Edge, GammaNet, ScalarField, WeightedMultigraph,
-                     birkhoff_shorten, build_sweepout, dumbbell_realizer, dumbbell_width,
-                     minmax_upper_bound, sphere_latitude)
-from geonets.minmax import _birkhoff_sweep
+                     birkhoff_shorten, build_sweepout, constant_field, dumbbell_circle,
+                     dumbbell_realizer, dumbbell_width, minmax_upper_bound, sphere_latitude,
+                     weyl_ratio_probe)
+from geonets.minmax import _birkhoff_sweep, _bounded_minimize
 from geonets.surfaces import Dumbbell, DumbbellWidthFamily
 
 
@@ -149,6 +153,83 @@ def test_recipe_surface_mismatch(torus, sphere):
         build_sweepout(torus, 1, "latitude")
     with pytest.raises(ValueError):
         build_sweepout(sphere, 2, "latitude")
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.5, True])
+def test_sweepout_p_must_be_a_positive_int(torus, p):
+    with pytest.raises(ValueError, match=r"^p must be a positive int"):
+        build_sweepout(torus, p, "x-levels")
+    family = ConformalFamily(torus, [constant_field(1.0)])
+    with pytest.raises(ValueError, match=r"^p must be a positive int"):
+        weyl_ratio_probe(family, [1, p], [0.0])
+
+
+def _sweepout_cases(torus, sphere, dumbbell):
+    wave = ScalarField(lambda c, x: np.sin(2 * np.pi * np.asarray(x)[..., 0])
+                       * np.cos(2 * np.pi * np.asarray(x)[..., 1]))
+    wavy_torus = ConformalFamily(torus, [wave]).at([0.3])
+    tilted = ScalarField(lambda c, x: np.asarray(x)[..., 0] + 0.5 * np.asarray(x)[..., 1] ** 2)
+    wavy_sphere = ConformalFamily(sphere, [tilted]).at([0.2])
+    member = DumbbellWidthFamily(dumbbell).at(0.15)
+    cases = [(f"{recipe}-p{p}", build_sweepout(wavy_torus, p, recipe), wavy_torus)
+             for recipe in ("x-levels", "y-levels") for p in (1, 4, 9)]
+    cases += [("latitude", build_sweepout(sphere, 1, "latitude"), sphere),
+              ("latitude-conformal", build_sweepout(wavy_sphere, 1, "latitude"), wavy_sphere),
+              ("profile-width-family", build_sweepout(member, 1, "profile"), member)]
+    return cases
+
+
+def test_batched_slice_lengths_match_the_nets_bit_for_bit(torus, sphere, dumbbell, rng):
+    for name, sw, metric in _sweepout_cases(torus, sphere, dumbbell):
+        ref = np.array([sw.cycle_fn(c).length(metric) for c in sw.grid])
+        assert np.array_equal(sw.lengths(sw.grid, metric), ref), name
+        # the refinement's single evaluations, off the grid
+        for c in rng.uniform(sw.grid[0], sw.grid[-1], size=5):
+            assert sw.lengths([c], metric)[0] == sw.cycle_fn(c).length(metric), name
+    # the latitude grid switches charts at pi / 2
+    sw = build_sweepout(sphere, 1, "latitude")
+    charts = sw.slices(sw.grid)[0]
+    assert charts[32] == "north" and sw.grid[32] == np.pi / 2 and charts[33] == "south"
+
+
+def test_recipe_slices_are_the_model_nets(sphere, dumbbell):
+    sw = build_sweepout(sphere, 1, "latitude")
+    for c in (0.3, np.pi / 2, 2.0):
+        ref = sphere_latitude(sphere, c).edge_paths[0]
+        got = sw.cycle_fn(c).edge_paths[0]
+        assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+    sw = build_sweepout(dumbbell, 1, "profile")
+    for u in (0.1, 0.5):
+        assert np.array_equal(sw.cycle_fn(u).edge_paths[0][1],
+                              dumbbell_circle(dumbbell, u).edge_paths[0][1])
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+    (np.cos, 2.0, 5.0),
+    (lambda x: abs(x - 0.1) + 0.01 * x * x, -0.5, 0.6),
+    (np.exp, 0.0, 1.0),
+    (lambda x: -np.sin(3 * x) * np.exp(-x), 0.0, 2.0),
+], ids=["parabola", "cos", "kink", "boundary", "damped-sine"])
+def test_bounded_minimize_matches_scipy(f, a, b):
+    from scipy.optimize import minimize_scalar
+
+    ref = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
+    x, fun = _bounded_minimize(f, a, b)
+    assert abs(x - ref.x) <= 1e-12 and abs(fun - ref.fun) <= 1e-12
+
+
+def test_profile_width_loads_no_scipy_optimize():
+    code = ("import sys, geonets as gn\n"
+            "dumbbell = gn.Dumbbell()\n"
+            "sw = gn.build_sweepout(dumbbell, 1, 'profile')\n"
+            "i = int(sw.lengths(sw.grid, dumbbell).argmax())\n"
+            "assert 0 < i < len(sw.grid) - 1\n"
+            "est = gn.minmax_upper_bound(sw, dumbbell)\n"
+            "assert est.maximizer != sw.grid[i]\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_dumbbell_width_model():
