@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .nets import DegenerateNetError
-from .surfaces import (_QUAD_BLOCK, Dumbbell, FlatTorus, ScalarField, Sphere, Surface,
+from .surfaces import (_QUAD_BLOCK, FlatTorus, ScalarField, Sphere, Surface,
                        _positive_int, _root_surface, _smoothstep, _smoothstep_deriv,
                        surface_average)
 
@@ -129,18 +129,13 @@ class _TorusBumps(BumpSystem):
         return np.stack([_outer(dbx, by), _outer(bx, dby)], axis=-1)
 
     def _volume_sums(self, chart, pts, dens):
-        """On an m x m tensor grid psi_{i n + j}(x, y) = a_i(x) a_j(y) with
-        a_i = b_i / sum_l b_l, so the sums are ``A_x @ D @ A_y^T`` over the
-        grid's two axes; any other point set takes the blocked sums."""
+        """On the m x m torus quadrature grid psi_{i n + j}(x, y) = a_i(x)
+        a_j(y) with a_i = b_i / sum_l b_l, so the sums are ``A_x @ D @
+        A_y^T`` over the grid's two axes, read off its first column and row."""
         m = math.isqrt(len(pts))
-        if m * m == len(pts):
-            grid = pts.reshape(m, m, 2)
-            xs, ys = grid[:, 0, 0], grid[0, :, 1]
-            if np.all(grid[..., 0] == xs[:, None]) and np.all(grid[..., 1] == ys):
-                ax, ay = (b / np.sum(b, axis=0) for b in
-                          self._axes(np.stack([xs, ys], axis=-1), _bump_1d_periodic))
-                return (ax @ dens.reshape(m, m) @ ay.T).ravel()
-        return super()._volume_sums(chart, pts, dens)
+        ax, ay = (b / np.sum(b, axis=0) for b in
+                  self._axes(np.stack([pts[::m, 0], pts[:m, 1]], axis=-1), _bump_1d_periodic))
+        return (ax @ dens.reshape(m, m) @ ay.T).ravel()
 
 
 #: collar of a plateau bump, as a share of its cell's side or sector
@@ -249,8 +244,6 @@ def build_partition(metric: Surface, eps1, K_min=1) -> BumpSystem:
         return _torus_partition(metric, eps1, K_min)
     if isinstance(root, Sphere):
         return _sphere_partition(metric, eps1, K_min)
-    if isinstance(root, Dumbbell):
-        raise ValueError("no partition recipe for the dumbbell surface")
     raise ValueError(f"no partition recipe for surface {root.name!r}")
 
 
@@ -271,8 +264,9 @@ class WeightedNetFamily:
             raise ValueError("weights must be a convex combination")
 
     def weighted_average(self, fld, metric):
-        return float(sum(a * net.average_integral(fld, metric)
-                         for a, net in zip(self.weights, self.nets)))
+        """sum_j a_j avg_j fld: K averages for a field of K rows, else a float."""
+        total = sum(a * net.average_integral(fld, metric) for a, net in zip(self.weights, self.nets))
+        return total if np.ndim(total) else float(total)
 
 
 @dataclass
@@ -314,10 +308,12 @@ def _volume_psi_averages(bumps: BumpSystem, metric: Surface, n):
 
 def discrepancy(family: WeightedNetFamily, metric: Surface,
                 bumps: BumpSystem, vol_n=256) -> DiscrepancyReport:
-    """Per-bump gap between weighted net averages and volume averages."""
-    net_avgs = np.zeros(bumps.K)
-    for a, net in zip(family.weights, family.nets):
-        net_avgs += a * net.average_integral(bumps.psi_values, metric)
+    """Per-bump gap between weighted net averages and volume averages;
+    ValueError on a metric over another kind of surface than the bumps'."""
+    root, home = _root_surface(metric), _root_surface(bumps.surface)
+    if type(root) is not type(home):
+        raise ValueError(f"bumps built for the {home.name} cannot measure on {metric.name}")
+    net_avgs = family.weighted_average(bumps.psi_values, metric)
     vol_avgs = _volume_psi_averages(bumps, metric, vol_n)
     return DiscrepancyReport(values=np.abs(net_avgs - vol_avgs),
                              threshold=bumps.eps1 / bumps.K)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import DomainError, Surface, midpoint_rule
+from .surfaces import DomainError, Surface, _chart, _positive_int, midpoint_rule
 
 
 @dataclass
@@ -93,8 +93,6 @@ class _Dofs:
         for e, (chart, _), m in zip(net.graph.edges, net.edge_paths, self.interior_counts):
             if chart != net.vertex_points[e.v0][0] or chart != net.vertex_points[e.v1][0]:
                 raise ValueError("edge endpoints must share the chart of their vertices")
-            if chart not in surface.charts:
-                raise DomainError(f"net chart {chart!r} is not a chart of {surface.name}")
             pidx += [self.vindex[e.v0], *range(ofs, ofs + m), self.vindex[e.v1]]
             ofs += m
         self.pidx = np.asarray(pidx)
@@ -105,7 +103,7 @@ class _Dofs:
         runs = np.diff(ends, prepend=0) - 1
         # an edge end sits a lattice shift of its chart from its vertex: none
         # on a closed axis, whole periods on a periodic one
-        edge_charts = [surface.charts[c] for c, _ in net.edge_paths]
+        edge_charts = [_chart(surface, c) for c, _ in net.edge_paths]
         laps = self.off[np.stack([ends - runs - 1, ends - 1])] / [c.hi - c.lo for c in edge_charts]
         wraps = np.where([c.periodic for c in edge_charts], np.round(laps), 0.0)
         off_lattice = np.flatnonzero(np.any(np.abs(laps - wraps) > 1e-9, axis=(0, 2)))
@@ -170,8 +168,8 @@ class _Dofs:
         j, q): segment s, its full dofs i and j, their reduced dofs p and q.
         Stored as int32 to halve what the dofs keep alive; n^2 < 2^31 for
         every dense Hessian that fits in memory.  A solve keeps it across
-        its Newton steps; the spectrum and the tracker, which build one
-        Hessian each, delete it after."""
+        its Newton steps; :func:`_free_vertex_hessian`, the one Hessian of
+        the spectrum and of the tracker, deletes it after."""
         c, n = self.normal_cols[self.segment_dofs], self.reduced_size
         return (c[:, :, :, None, None] * n + c[:, None, None]).ravel().astype(np.int32)
 
@@ -233,6 +231,15 @@ class _NormalDofs:
         H += H.T
         H *= 0.5
         return H
+
+
+def _free_vertex_hessian(dofs: _Dofs, metric: Surface, x):
+    """The free-vertex frame at ``x`` and its Hessian under ``metric``, the
+    one Hessian its dofs build: :attr:`_Dofs.hessian_index` goes after it."""
+    frame = _NormalDofs(dofs, x, drag=False)
+    H = frame.hessian(metric)
+    del dofs.hessian_index
+    return frame, H
 
 
 def _length_and_dof_grad(dofs: _Dofs, metric: Surface, x):
@@ -311,7 +318,7 @@ def _edge_ends(net: GammaNet, metric: Surface):
     """The edge-end table every vertex condition reads.  End r is endpoint
     r % 2 of edge r // 2; the table holds its vertex (an index into
     ``net.graph.vertices``), its g-unit inward tangent and g at the end,
-    from one ``metric`` call per chart."""
+    from one ``metric`` call per chart (each checked by ``_chart``)."""
     index = {v: k for k, v in enumerate(net.graph.vertices)}
     vertex = np.array([index[v] for e in net.graph.edges for v in (e.v0, e.v1)])
     tips = np.concatenate([pts.take((0, -1, 1, -2), axis=0) for _, pts in net.edge_paths])
@@ -320,6 +327,7 @@ def _edge_ends(net: GammaNet, metric: Surface):
     charts = [chart for chart, _ in net.edge_paths]
     names, g = list(dict.fromkeys(charts)), np.empty((len(at), 2, 2))
     for chart in names:
+        _chart(metric, chart)
         sel = np.repeat([c == chart for c in charts], 2) if len(names) > 1 else slice(None)
         g[sel] = metric.metric(chart, at[sel])
     norm = np.sqrt(_g_dot(inward, g, inward))
@@ -467,9 +475,8 @@ def stationary_tracker(init: GammaNet, metric0: Surface):
     steps have not settled within _TRACK_STEPS.
     """
     dofs = _Dofs(init, metric0)
-    frame = _NormalDofs(dofs, dofs.pack(), drag=False)
-    P = _pseudo_inverse(frame.hessian(metric0))
-    del dofs.hessian_index                      # track outlives its one Hessian
+    frame, H = _free_vertex_hessian(dofs, metric0, dofs.pack())
+    P = _pseudo_inverse(H)
 
     def track(metric):
         y = np.zeros(frame.size)
@@ -506,9 +513,7 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
     if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(stationarity residual {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")
-    H = _NormalDofs(dofs, x, drag=False).hessian(metric)
-    del dofs.hessian_index                      # its one Hessian is built
-    return np.linalg.eigvalsh(H)
+    return np.linalg.eigvalsh(_free_vertex_hessian(dofs, metric, x)[1])
 
 
 def is_nondegenerate(net: GammaNet, metric: Surface, tol):
@@ -556,9 +561,8 @@ def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,
     lower bound configured on the metric stands in for inj(g) in the
     separation windows.  ``M_bound`` must be a positive integer.
     """
-    M = int(M_bound) if float(M_bound).is_integer() else 0
-    if M < 1:
-        raise ValueError(f"M_bound must be a positive integer, got {M_bound!r}")
+    _positive_int("M_bound", M_bound)
+    M = int(M_bound)
     net = net.resample(metric, cert_samples)
     inj = metric.injectivity_lower_bound
     edges = net.graph.edges

@@ -76,20 +76,22 @@ class Chart:
     hi: np.ndarray
     periodic: tuple = (False, False)
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        ok = np.ones(x.shape[:-1], dtype=bool)
-        for k in range(2):
-            if not self.periodic[k]:
-                ok &= (x[..., k] >= self.lo[k]) & (x[..., k] <= self.hi[k])
-        return ok
+
+def _chart(surface, name):
+    """The chart ``name`` of ``surface``, or DomainError naming both: no
+    metric reads its chart argument, so this is the one chart check."""
+    if name not in surface.charts:
+        raise DomainError(f"chart {name!r} is not a chart of {surface.name}")
+    return surface.charts[name]
 
 
 def midpoint_rule(surface, chart, a, b, deriv=False):
     """The one discrete length rule: the chart segments from the rows of
     ``a`` to those of ``b``, each measured by the metric at its midpoint.
     Returns ``(lengths, b - a, midpoints, g (b - a))``, and with ``deriv``
-    also ``q[s, k] = d_k g(b - a, b - a)`` at the midpoints."""
+    also ``q[s, k] = d_k g(b - a, b - a)`` at the midpoints.  DomainError
+    unless ``chart`` is a chart of ``surface``."""
+    _chart(surface, chart)
     delta, mids = b - a, 0.5 * (a + b)
     gd = np.einsum("sij,sj->si", surface.metric(chart, mids), delta)
     out = np.sqrt(np.einsum("si,si->s", delta, gd)), delta, mids, gd
@@ -140,14 +142,6 @@ class Surface:
         return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
 
     # -- chart bookkeeping -------------------------------------------------
-
-    def eval_metric(self, chart, x):
-        if chart not in self.charts:
-            raise DomainError(f"unknown chart {chart!r} on {self.name}")
-        x = np.asarray(x, dtype=float)
-        if not np.all(self.charts[chart].contains(x)):
-            raise DomainError(f"point outside chart {chart!r} domain on {self.name}")
-        return self.metric(chart, x)
 
     def transition(self, src, dst, x):
         if src == dst:

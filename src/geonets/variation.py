@@ -32,12 +32,10 @@ class PerturbationDirection:
 
 
 def conformal_direction(surface: Surface, psi: ScalarField):
-    """The direction 2 psi g of a conformal family e^{2 s psi} g at s=0."""
-
-    def tensor(chart, x):
-        return 2.0 * np.asarray(psi.value(chart, x))[..., None, None] * surface.metric(chart, x)
-
-    return PerturbationDirection(tensor, f"conformal({psi.name})")
+    """The direction 2 psi g of the conformal family e^{2 s psi} g at s=0:
+    :meth:`ConformalFamily.deriv_tensor` of that family."""
+    return PerturbationDirection(ConformalFamily(surface, [psi]).deriv_tensor(0.0, 0),
+                                 f"conformal({psi.name})")
 
 
 def family_direction(family, t):
@@ -175,38 +173,28 @@ def _battery_nets(torus):
 
 
 def _battery_directions(torus):
-    """Four conformal cosine modes and one non-conformal tensor mode.
+    """Four conformal modes cos(2 pi a x) cos(2 pi b y), the constant at
+    (a, b) = (0, 0), and one non-conformal tensor mode.
 
     Each entry is (name, direction at s=0, metric family s -> Surface).
     """
 
     def cosfield(a, b):
+        k = 2 * np.pi * np.array([a, b])
+
         def fn(chart, x):
-            x = np.asarray(x, dtype=float)
-            out = np.ones(x.shape[:-1])
-            if a:
-                out = out * np.cos(2 * np.pi * a * x[..., 0])
-            if b:
-                out = out * np.cos(2 * np.pi * b * x[..., 1])
-            return out
+            return np.prod(np.cos(k * np.asarray(x, dtype=float)), axis=-1)
 
         def gfn(chart, x):
-            x = np.asarray(x, dtype=float)
-            cx = np.cos(2 * np.pi * a * x[..., 0]) if a else np.ones(x.shape[:-1])
-            cy = np.cos(2 * np.pi * b * x[..., 1]) if b else np.ones(x.shape[:-1])
-            sx = -2 * np.pi * a * np.sin(2 * np.pi * a * x[..., 0])
-            sy = -2 * np.pi * b * np.sin(2 * np.pi * b * x[..., 1])
-            return np.stack([sx * cy, cx * sy], axis=-1)
+            kx = k * np.asarray(x, dtype=float)
+            return -k * np.sin(kx) * np.cos(kx)[..., ::-1]
 
         return ScalarField(fn, grad_fn=gfn, name=f"cos({a}x)cos({b}y)")
 
     entries = []
-    for name, psi in [("2g (global)", None),
-                      ("2cos(2piy)g", cosfield(0, 1)),
-                      ("2cos(2pix)g", cosfield(1, 0)),
-                      ("2cos(2pix)cos(2piy)g", cosfield(1, 1))]:
-        from .surfaces import constant_field
-        fld = psi if psi is not None else constant_field(1.0)
+    for name, (a, b) in [("2g (global)", (0, 0)), ("2cos(2piy)g", (0, 1)),
+                         ("2cos(2pix)g", (1, 0)), ("2cos(2pix)cos(2piy)g", (1, 1))]:
+        fld = cosfield(a, b)
         family = ConformalFamily(torus, [fld])
         entries.append((name, conformal_direction(torus, fld),
                         lambda s, fam=family: fam.at([s])))

@@ -11,7 +11,8 @@ from geonets import (ConformalFamily, FlatTorus, ScalarField, Sphere, WeightedNe
                      build_partition, convex_gradient_search, discrepancy,
                      discrepancy_transfer, merge_sequences, merged_block_ratios,
                      min_norm_point, rationalize,
-                     ratio_series, running_ratio, torus_geodesic)
+                     ratio_series, running_ratio, sphere_latitude, torus_geodesic)
+from geonets import equidist
 from geonets.equidist import (BumpSystem, _bump_1d, _bump_1d_periodic, _merge_schedule,
                                _sphere_angles, _volume_psi_averages)
 from geonets.surfaces import _QUAD_BLOCK, _det2
@@ -36,17 +37,19 @@ def test_partition_normalization(torus, rng):
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
-def test_partition_gradients_fd(torus, rng):
-    bumps = build_partition(torus, 0.3)
-    pts = rng.uniform(0, 1, size=(50, 2))
+def test_partition_gradients_fd(torus, sphere, rng):
+    # torus bumps have analytic gradients, sphere bumps BumpSystem's central differences
     h = 1e-6
-    for k in (0, 7, 13):
-        psi = bumps.psi[k]
-        for axis in range(2):
-            dx = np.zeros(2)
-            dx[axis] = h
-            fd = (psi.value("main", pts + dx) - psi.value("main", pts - dx)) / (2 * h)
-            assert np.allclose(psi.grad("main", pts)[:, axis], fd, atol=1e-6)
+    for surface, eps1 in [(torus, 0.3), (sphere, 0.9)]:
+        bumps = build_partition(surface, eps1)
+        for chart in surface.charts:
+            pts = rng.uniform(-1.5, 1.5, size=(50, 2))
+            for psi in bumps.psi:
+                for axis in range(2):
+                    dx = np.zeros(2)
+                    dx[axis] = h
+                    fd = (psi.value(chart, pts + dx) - psi.value(chart, pts - dx)) / (2 * h)
+                    assert np.allclose(psi.grad(chart, pts)[:, axis], fd, atol=1e-6)
 
 
 def test_sphere_partition_normalizes():
@@ -128,10 +131,6 @@ def test_torus_tensor_grid_sums_match_blocked(torus, monkeypatch, eps1):
             psi_calls.clear()
             assert np.allclose(bumps._volume_sums(chart, pts, dens), blocked, rtol=1e-14, atol=0)
             assert not psi_calls                            # the tensor-grid product
-            perm = np.random.default_rng(n).permutation(len(pts))
-            assert np.allclose(bumps._volume_sums(chart, pts[perm], dens[perm]), blocked,
-                               rtol=1e-14, atol=0)
-            assert psi_calls                                # the blocked fallback
 
 
 @pytest.mark.parametrize("kind, eps_lo, eps_hi, tol", [
@@ -198,6 +197,17 @@ def test_volume_averages_follow_each_metric(torus):
         assert np.array_equal(cached, fresh), f"stale averages at t = {t:.3f}"
 
 
+def test_bumps_of_another_surface_kind_are_refused(torus, sphere):
+    # torus bumps on the sphere once read a discrepancy of 0.083 and sphere
+    # bumps on the torus 0.289: each evaluated at points they were not built for
+    torus_family = WeightedNetFamily([torus_geodesic((1, 0))], [1.0])
+    sphere_family = WeightedNetFamily([sphere_latitude(sphere, 1.0)], [1.0])
+    for family, metric, bumps in [(sphere_family, sphere, build_partition(torus, 0.3)),
+                                  (torus_family, torus, build_partition(sphere, 0.9))]:
+        with pytest.raises(ValueError, match=f"cannot measure on {metric.name}"):
+            discrepancy(family, metric, bumps, vol_n=32)
+
+
 def test_transfer_bound(torus):
     bumps = build_partition(torus, 0.3)
     fld = ScalarField(lambda c, x: np.sin(2 * np.pi * np.asarray(x)[..., 0])
@@ -245,6 +255,64 @@ def test_min_norm_point_simplex():
     # origin outside: nearest point on a face
     w, x = min_norm_point(np.array([[2.0, 1.0], [2.0, -1.0]]))
     assert np.allclose(x, [2.0, 0.0], atol=1e-10)
+
+
+def _hull_min_norm_reference(P):
+    """The min-norm point of Conv(rows of P) by nonnegative least squares,
+    with sum(w) = 1 as a heavily weighted extra row."""
+    from scipy.optimize import nnls
+
+    big = 1e4
+    A = np.vstack([P.T, np.full(len(P), big)])
+    b = np.zeros(P.shape[1] + 1)
+    b[-1] = big
+    w = nnls(A, b)[0]
+    return (w / w.sum()) @ P
+
+
+def test_min_norm_point_minor_cycle_matches_nnls(monkeypatch):
+    # the minor cycle runs when the affine min-norm point leaves the
+    # simplex of the support, which about one random set in six reaches
+    minor, affine = [], equidist._affine_min_norm
+
+    def spy(P):
+        v = affine(P)
+        minor.append(not np.all(v > 1e-14))
+        return v
+
+    monkeypatch.setattr(equidist, "_affine_min_norm", spy)
+    rng = np.random.default_rng(0)
+    entered = 0
+    for _ in range(60):
+        m, N = rng.integers(3, 12), rng.integers(2, 5)
+        P = rng.normal(size=(m, N)) + rng.normal(size=N)
+        minor.clear()
+        w, x = min_norm_point(P)
+        entered += any(minor)
+        assert np.all(w >= 0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(w @ P, x, rtol=0, atol=1e-12)
+        assert np.allclose(x, _hull_min_norm_reference(P), rtol=0, atol=1e-9)
+    assert entered >= 5
+
+
+def test_convex_search_reduces_a_wide_support():
+    # near-duplicate gradients (13 rows in R^4, six copies moved by 1e-16
+    # to 1e-9) bring Wolfe back with 6 support points where N + 1 = 5;
+    # the Caratheodory step cuts that to 5 without moving the point
+    reduced = 0
+    for seed in (14, 164, 187, 459, 471):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(7, 4))
+        moved = (base[rng.choice(7, 6, replace=False)]
+                 + rng.choice([-1, 1], size=(6, 4)) * 10.0 ** rng.uniform(-16, -9, size=(6, 4)))
+        grads = np.vstack([base, moved])
+        w, x = min_norm_point(grads)
+        reduced += np.count_nonzero(w) > 5
+        res = convex_gradient_search(list(zip(rng.uniform(size=(13, 2)), grads)), eta=1.0)
+        assert res.success and len(res.indices) == len(set(res.indices)) == 5
+        assert np.all(res.weights >= 0) and res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(res.weights @ grads[res.indices], x, rtol=0, atol=1e-12)
+    assert reduced
 
 
 def _zigzag_samples(N, n_pts=9):

@@ -76,8 +76,10 @@ def test_sphere_volume(sphere):
 
 
 def test_sphere_domain_error(sphere):
-    with pytest.raises(DomainError):
-        sphere.eval_metric("north", np.array([10.0, 0.0]))
+    # the metric ignores its chart argument: the length rule checks the name
+    a = np.zeros((3, 2))
+    with pytest.raises(DomainError, match="chart 'main' is not a chart of sphere"):
+        midpoint_rule(sphere, "main", a, a + 0.1)
 
 
 def test_dumbbell_profile_shape(dumbbell):
@@ -92,15 +94,21 @@ def test_dumbbell_profile_shape(dumbbell):
 
 
 def test_dumbbell_metric_deriv_fd(dumbbell, rng):
+    # the width-family members' log-factor has a gradient where the ramp
+    # moves, in the neck band |u - 1/2| < band
     x = rng.uniform([dumbbell.u_margin + 0.05, 0.0], [1 - dumbbell.u_margin - 0.05, 1.0],
                     size=(15, 2))
+    band = DumbbellWidthFamily.band
+    x = np.vstack([x, rng.uniform([0.5 - band, 0.0], [0.5 + band, 1.0], size=(15, 2))])
     h = 1e-6
-    dg = dumbbell.metric_deriv("main", x)
-    for k in range(2):
-        dx = np.zeros(2)
-        dx[k] = h
-        fd = (dumbbell.metric("main", x + dx) - dumbbell.metric("main", x - dx)) / (2 * h)
-        assert np.allclose(dg[:, k], fd, atol=1e-6)
+    family = DumbbellWidthFamily(dumbbell)
+    for surf in (dumbbell, family.at(0.3), family.at(-0.4)):
+        dg = surf.metric_deriv("main", x)
+        for k in range(2):
+            dx = np.zeros(2)
+            dx[k] = h
+            fd = (surf.metric("main", x + dx) - surf.metric("main", x - dx)) / (2 * h)
+            assert np.allclose(dg[:, k], fd, atol=1e-6)
 
 
 def test_conformal_family_scaling(torus):

@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from geonets import (ConformalFamily, Edge, GammaNet, ScalarField, WeightedMultigraph,
-                     birkhoff_shorten, build_sweepout, constant_field, dumbbell_circle,
-                     dumbbell_realizer, dumbbell_width, minmax_upper_bound, sphere_latitude,
-                     weyl_ratio_probe)
+from geonets import (ConformalFamily, DomainError, Edge, GammaNet, ScalarField,
+                     WeightedMultigraph, birkhoff_shorten, build_sweepout, constant_field,
+                     dumbbell_circle, dumbbell_realizer, dumbbell_width, minmax_upper_bound,
+                     sphere_latitude, weyl_ratio_probe)
 from geonets.minmax import _birkhoff_sweep, _bounded_minimize
 from geonets.surfaces import Dumbbell, DumbbellWidthFamily
 
@@ -153,6 +153,13 @@ def test_recipe_surface_mismatch(torus, sphere):
         build_sweepout(torus, 1, "latitude")
     with pytest.raises(ValueError):
         build_sweepout(sphere, 2, "latitude")
+
+
+def test_sweepout_on_a_foreign_chart_is_domain_error(torus, sphere):
+    # the latitudes once measured on the torus as flat chart circles
+    sw = build_sweepout(sphere, 1, "latitude")
+    with pytest.raises(DomainError, match="chart 'north' is not a chart of torus"):
+        sw.lengths(sw.grid, torus)
 
 
 @pytest.mark.parametrize("p", [0, -1, 2.5, True])

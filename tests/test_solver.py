@@ -416,6 +416,32 @@ def test_net_on_foreign_charts_is_domain_error(sphere, dumbbell):
             stationarity_residual(net, surface)
 
 
+_MEASUREMENTS = {
+    "length": lambda net, metric: net.length(metric),
+    "edge_lengths": lambda net, metric: net.edge_lengths(metric),
+    "integrate": lambda net, metric: net.integrate(constant_field(1.0), metric),
+    "average_integral": lambda net, metric: net.average_integral(constant_field(1.0), metric),
+    "resample": lambda net, metric: net.resample(metric, 16),
+    "segment_trace_integral": lambda net, metric: net.segment_trace_integral(
+        conformal_direction(metric, constant_field(1.0)), metric),
+    "embeddedness_certificate": lambda net, metric: embeddedness_certificate(
+        net, metric, M_bound=12, cert_samples=9),
+    "closed_geodesic_certificate": closed_geodesic_certificate,
+}
+
+
+@pytest.mark.parametrize("measure", _MEASUREMENTS)
+def test_measuring_on_a_foreign_chart_is_domain_error(measure, torus, sphere):
+    # a sphere latitude on the torus once read length 3.432, an embeddedness
+    # F1 of 3.431 and "no opposite tangent match"; a torus circle on the
+    # sphere read length 1.5708.  A torus net on the dumbbell shares the
+    # chart name 'main': only the lattice check of the solver's dofs sees it
+    for net, metric, chart in [(sphere_latitude(sphere, 1.0), torus, "north"),
+                               (torus_geodesic((1, 0)), sphere, "main")]:
+        with pytest.raises(DomainError, match=f"chart '{chart}' is not a chart of {metric.name}"):
+            _MEASUREMENTS[measure](net, metric)
+
+
 def test_solve_loads_no_scipy_optimize():
     # no scipy module at all: scipy loads a second OpenBLAS thread pool
     code = ("import sys, geonets as gn\n"
@@ -607,9 +633,10 @@ def test_embeddedness_certificate_theta(torus):
         assert v == pytest.approx(-0.5, abs=2e-3)
 
 
-@pytest.mark.parametrize("M", [0, -3, 2.9, float("inf")])
+@pytest.mark.parametrize("M", [0, -3, 2.9, float("inf"), True, 12.0])
 def test_certificate_rejects_a_bad_M_bound(torus, M):
-    # 0 divided by zero, -3 passed conditions 3-6, 2.9 became 2 and inf overflowed
+    # 0 divided by zero, -3 passed conditions 3-6, 2.9 became 2, inf
+    # overflowed and True ran as M = 1: only a positive int is a bound
     with pytest.raises(ValueError, match="M_bound"):
         embeddedness_certificate(torus_geodesic((1, 0)), torus, M_bound=M)
 
