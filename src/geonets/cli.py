@@ -9,7 +9,8 @@ check fails.  Exit code 0 when every check holds, 1 when one fails, 2 on
 configuration errors and on the library's ``ValueError`` (``DomainError``,
 ``DegenerateNetError``, unparsable numbers).  ``solve-net``, ``widths``
 and ``equidistribute`` run on the torus only and exit 2 on any other
-``[surface] kind``; ``dumbbell`` reads ``[surface] neck`` and ``bell``.
+``[surface] kind``; ``dumbbell`` reads ``[surface] neck`` and ``bell``,
+and a ``[surface]`` key that the surface's kind does not read exits 2.
 CSV outputs embed the config hash, the seed and a subcommand's summary
 values (such as the slope gap or the bump count) as ``# key = value``
 comment lines; JSON outputs carry the hash and the seed under ``meta``.
@@ -204,40 +205,6 @@ def equidistribute(cfg, seed):
                f"worst Fourier-mode integral {fourier:.3e}")
 
 
-def selftest(cfg, seed):
-    rng = np.random.default_rng(seed)
-    torus = surfaces.FlatTorus()
-    net = nets.torus_geodesic((3, 4), samples=200)
-    length = net.length(torus)
-    fld = surfaces.ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 1]))
-    re = net.resample(torus, 333)
-    c = 0.37
-    scaled = surfaces.ConformalFamily(torus, [surfaces.constant_field(1.0)]).at([c])
-    doubled = nets.torus_geodesic((3, 4), samples=200, mult=2)
-    bumps = equidist.build_partition(torus, 0.3, 4)
-    total = np.sum(bumps.psi_values("main", rng.uniform(0.0, 1.0, size=(10000, 2))), axis=0)
-    psi = surfaces.ScalarField(lambda c_, x: np.sin(np.asarray(x)[..., 0])
-                               * np.cos(np.asarray(x)[..., 1]))
-    sphere = surfaces.ConformalFamily(surfaces.Sphere(), [psi]).at([0.4])
-    g = sphere.metric("north", rng.uniform(-1.0, 1.0, size=(10000, 2)))
-    checks = {
-        "length reparametrization invariance": abs(re.length(torus) - length) <= 1e-9 * length,
-        "integral reparametrization invariance":
-            abs(re.integrate(fld, torus) - net.integrate(fld, torus)) <= 1e-8,
-        "orientation reversal invariance": abs(net.reversed_edge(0).length(torus) - length) <= 1e-12,
-        "conformal length law":
-            abs(net.length(scaled) - np.exp(c) * length) <= 1e-10 * net.length(scaled),
-        "multiplicity linearity": doubled.length(torus) == 2.0 * length,
-        "partition of unity normalization": np.max(np.abs(total - 1.0)) <= 1e-10,
-        "SPD preservation": np.min(np.linalg.eigvalsh(g)) > 0,
-    }
-    failures = [label for label, ok in checks.items() if not ok]
-    record = {"failures": failures, "meta": _meta(cfg, seed)}
-    return Run({"selftest.json": json.dumps(record, indent=2)}, checks,
-               f"selftest: {len(checks) - len(failures)}/{len(checks)} invariance properties hold"
-               if failures else "selftest: all invariance properties hold")
-
-
 PIPELINES = {
     "solve-net": solve_net,
     "check-variation": check_variation,
@@ -245,7 +212,6 @@ PIPELINES = {
     "widths": widths,
     "partition": partition,
     "equidistribute": equidistribute,
-    "selftest": selftest,
 }
 
 

@@ -582,9 +582,9 @@ def ratio_series(integrals, lengths):
 
 
 def running_ratio(sequence, fld, metric: Surface):
-    """Partial ratios of summed line integrals over summed lengths."""
+    """Partial ratios of summed line integrals over summed lengths, each
+    net measured by one midpoint rule pass per edge."""
     if not sequence:
         raise ValueError("running ratio of an empty sequence")
-    integrals = [net.integrate(fld, metric) for net in sequence]
-    lengths = [net.length(metric) for net in sequence]
+    lengths, integrals = zip(*(net._length_and_integral(fld, metric) for net in sequence))
     return ratio_series(integrals, lengths)

@@ -70,6 +70,27 @@ class ClosedGeodesicResult:
 # dof packing
 # ---------------------------------------------------------------------------
 
+def _edge_charts(net: GammaNet, surface: Surface):
+    """The chart of every edge, after the one closure check of a net: each
+    edge lies on a chart of ``surface`` (``_chart``) and on that of its two
+    vertices (ValueError), and each of its ends sits a lattice shift of
+    that chart from its vertex: none on a closed axis, whole periods on a
+    periodic one (DomainError)."""
+    charts, edges, at = [c for c, _ in net.edge_paths], net.graph.edges, net.vertex_points
+    box = [_chart(surface, c) for c in charts]
+    if any(at[e.v0][0] != c or at[e.v1][0] != c for e, c in zip(edges, charts)):
+        raise ValueError("edge endpoints must share the chart of their vertices")
+    tips = np.array([(pts[0], pts[-1], at[e.v0][1], at[e.v1][1])
+                     for e, (_, pts) in zip(edges, net.edge_paths)])
+    laps = (tips[:, :2] - tips[:, 2:]) / np.array([b.hi - b.lo for b in box])[:, None]
+    miss = np.abs(laps - np.where(np.array([b.periodic for b in box])[:, None], np.round(laps), 0.0))
+    if miss.max() > 1e-9:
+        k = int(np.argmax(miss.max(axis=(1, 2)) > 1e-9))
+        raise DomainError(f"edge {k} on chart {charts[k]!r} is not closed by a lattice shift "
+                          f"of {surface.name}")
+    return charts
+
+
 class _Dofs:
     """Flat parametrization: vertex positions plus edge interior samples.
 
@@ -83,6 +104,7 @@ class _Dofs:
     """
 
     def __init__(self, net: GammaNet, surface: Surface):
+        charts = _edge_charts(net, surface)
         self.net = net
         self.vorder = list(net.vertex_points.keys())
         self.vindex = {v: i for i, v in enumerate(self.vorder)}
@@ -90,9 +112,7 @@ class _Dofs:
         self.interior_counts = [pts.shape[0] - 2 for _, pts in net.edge_paths]
         self.size = 2 * self.nv + 2 * sum(self.interior_counts)
         pidx, ofs = [], self.nv
-        for e, (chart, _), m in zip(net.graph.edges, net.edge_paths, self.interior_counts):
-            if chart != net.vertex_points[e.v0][0] or chart != net.vertex_points[e.v1][0]:
-                raise ValueError("edge endpoints must share the chart of their vertices")
+        for e, m in zip(net.graph.edges, self.interior_counts):
             pidx += [self.vindex[e.v0], *range(ofs, ofs + m), self.vindex[e.v1]]
             ofs += m
         self.pidx = np.asarray(pidx)
@@ -101,19 +121,9 @@ class _Dofs:
         ends = np.cumsum([pts.shape[0] for _, pts in net.edge_paths])
         self.bounds, self.seg = ends[:-1], np.delete(np.arange(ends[-1]), ends - 1)
         runs = np.diff(ends, prepend=0) - 1
-        # an edge end sits a lattice shift of its chart from its vertex: none
-        # on a closed axis, whole periods on a periodic one
-        edge_charts = [_chart(surface, c) for c, _ in net.edge_paths]
-        laps = self.off[np.stack([ends - runs - 1, ends - 1])] / [c.hi - c.lo for c in edge_charts]
-        wraps = np.where([c.periodic for c in edge_charts], np.round(laps), 0.0)
-        off_lattice = np.flatnonzero(np.any(np.abs(laps - wraps) > 1e-9, axis=(0, 2)))
-        if off_lattice.size:
-            k = off_lattice[0]
-            raise DomainError(f"edge {k} on chart {edge_charts[k].name!r} is not closed by a lattice "
-                              f"shift of {surface.name}")
         self.seg_bounds = np.cumsum(runs)[:-1]
         self.mult = np.repeat([float(e.mult) for e in net.graph.edges], runs)
-        charts = np.repeat([c for c, _ in net.edge_paths], runs)
+        charts = np.repeat(charts, runs)
         names = list(dict.fromkeys(charts))
         self.chart_segments = [(c, np.flatnonzero(charts == c) if len(names) > 1 else slice(None))
                                for c in names]
@@ -318,16 +328,15 @@ def _edge_ends(net: GammaNet, metric: Surface):
     """The edge-end table every vertex condition reads.  End r is endpoint
     r % 2 of edge r // 2; the table holds its vertex (an index into
     ``net.graph.vertices``), its g-unit inward tangent and g at the end,
-    from one ``metric`` call per chart (each checked by ``_chart``)."""
+    from one ``metric`` call per chart, on a net closed by :func:`_edge_charts`."""
+    charts = _edge_charts(net, metric)
     index = {v: k for k, v in enumerate(net.graph.vertices)}
     vertex = np.array([index[v] for e in net.graph.edges for v in (e.v0, e.v1)])
     tips = np.concatenate([pts.take((0, -1, 1, -2), axis=0) for _, pts in net.edge_paths])
     tips = tips.reshape(-1, 2, 2, 2)        # edge, (end samples, their neighbours), endpoint, xy
     at, inward = tips[:, 0].reshape(-1, 2), (tips[:, 1] - tips[:, 0]).reshape(-1, 2)
-    charts = [chart for chart, _ in net.edge_paths]
     names, g = list(dict.fromkeys(charts)), np.empty((len(at), 2, 2))
     for chart in names:
-        _chart(metric, chart)
         sel = np.repeat([c == chart for c in charts], 2) if len(names) > 1 else slice(None)
         g[sel] = metric.metric(chart, at[sel])
     norm = np.sqrt(_g_dot(inward, g, inward))
@@ -352,7 +361,12 @@ def stationarity_residual(net: GammaNet, metric: Surface) -> float:
     solve, zero exactly when neither a normal move of an interior sample
     nor a move of a vertex (dragging its edges) changes the length."""
     dofs = _Dofs(net, metric)
-    return float(np.linalg.norm(_drag_gradient(dofs, metric, dofs.pack())[3]))
+    return _residual(dofs, metric, dofs.pack())
+
+
+def _residual(dofs: _Dofs, metric: Surface, x):
+    """:func:`stationarity_residual` at the dof vector ``x``."""
+    return float(np.linalg.norm(_drag_gradient(dofs, metric, x)[3]))
 
 
 def _drag_gradient(dofs: _Dofs, metric: Surface, x):
@@ -509,7 +523,7 @@ def second_variation_spectrum(net: GammaNet, metric: Surface):
     """
     dofs = _Dofs(net, metric)
     x = dofs.pack()
-    resid = float(np.linalg.norm(_drag_gradient(dofs, metric, x)[3]))
+    resid = _residual(dofs, metric, x)
     if resid > _SPECTRUM_RESIDUAL:
         raise ValueError(f"net is not stationary enough for a spectrum "
                          f"(stationarity residual {resid:.3e} > {_SPECTRUM_RESIDUAL:g})")

@@ -792,36 +792,29 @@ def surface_average(surface: Surface, fld: ScalarField, n=256):
 
 def surface_parameter(key, value):
     """``value`` as a finite positive float: the one check of every numeric
-    surface parameter, in the constructors and in :func:`load_surface`."""
+    surface parameter, in the surface constructors."""
     value = float(value)
     if not 0.0 < value < math.inf:
         raise DomainError(f"surface {key} must be finite and positive, got {value!r}")
     return value
 
 
-def load_surface(config) -> Surface:
-    """Build a surface from a config mapping or a [surface] section.
+#: each surface kind of :func:`load_surface` and the keys besides ``kind`` it reads
+_SURFACE_KINDS = {"torus": (FlatTorus, ()), "sphere": (Sphere, ("radius",)),
+                  "dumbbell": (Dumbbell, ("neck", "bell"))}
 
-    Recognized keys: ``kind`` (torus | sphere | dumbbell), ``radius``,
-    ``neck``, ``bell``, ``injectivity_bound``; the numeric ones pass
-    :func:`surface_parameter`, the first three in the constructors.
-    """
+
+def load_surface(config) -> Surface:
+    """The surface a config mapping or [surface] section names: ``kind``
+    (torus, sphere or dumbbell; torus by default) and only the keys that
+    kind reads (:data:`_SURFACE_KINDS`); any other key is a DomainError."""
     if isinstance(config, configparser.ConfigParser):
         config = dict(config["surface"]) if config.has_section("surface") else dict(config.defaults())
     kind = str(config.get("kind", "torus")).lower()
-
-    def given(*keys):
-        return {k: config[k] for k in keys if k in config}
-
-    if kind == "torus":
-        surf = FlatTorus()
-    elif kind == "sphere":
-        surf = Sphere(**given("radius"))
-    elif kind == "dumbbell":
-        surf = Dumbbell(**given("neck", "bell"))
-    else:
+    if kind not in _SURFACE_KINDS:
         raise DomainError(f"unknown surface kind {kind!r}")
-    if "injectivity_bound" in config:
-        surf.injectivity_lower_bound = surface_parameter("injectivity_bound",
-                                                       config["injectivity_bound"])
-    return surf
+    cls, keys = _SURFACE_KINDS[kind]
+    unread = [k for k in config if k != "kind" and k not in keys]
+    if unread:
+        raise DomainError(f"unknown key {unread[0]!r} for surface kind {kind!r}")
+    return cls(**{k: config[k] for k in keys if k in config})

@@ -210,9 +210,3 @@ def test_acceptance_10_merge_envelope():
             ok = ok and abs(ratios[m - 1] - alpha) <= 2 * D / m
     _report("10 merge envelope", ok,
             f"max |ratio-alpha| relative to 2D/m: {worst_slack:.3f}")
-
-
-# -- 11 ---------------------------------------------------------------------
-
-def test_acceptance_11_invariance_selftest():
-    _pipeline("11 invariance selftest", "selftest", 90.0)

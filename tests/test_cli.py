@@ -72,13 +72,6 @@ def test_csv_fields_with_commas_stay_in_their_column(tmp_path):
     assert all(json.loads(row["descriptor"])["kind"] == "torus-cell" for row in rows)
 
 
-def test_selftest_green(tmp_path):
-    rc = cli.main(["selftest", "--out", str(tmp_path)])
-    assert rc == 0
-    record = json.loads((tmp_path / "selftest.json").read_text())
-    assert record["failures"] == []
-
-
 def test_missing_config_is_exit_2(tmp_path, capsys):
     rc = cli.main(["solve-net", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path)])
@@ -116,10 +109,14 @@ def test_bad_surface_for_partition_is_exit_2(tmp_path):
     ("dumbbell", "[surface]\nbell = nan\n"),                 # once ignored, exit 0
     ("widths", "[surface]\nkind = sphere\n"),                # once ran on the torus, exit 0
     ("equidistribute", "[surface]\nkind = klein\n"),         # once ran on the torus, exit 0
+    ("partition", "[surface]\nkind = sphere\nradus = 2.0\n"),  # once K = 284 on the unit sphere
+    ("partition", "[surface]\nradius = 2.0\n"),             # once the unit torus, exit 0
+    ("dumbbell", "[surface]\nradius = 2.0\n"),              # once ignored, exit 0
 ], ids=["klein", "class-0-0", "eps1-abc", "k_max-0", "solve-sphere", "solve-dumbbell",
         "tol-nan", "tol-0", "tol-negative", "inj-nan-partition", "inj-nan-solve",
         "radius-inf", "neck-nan", "neck-0", "neck-negative", "eps1-0", "eps1-negative",
-        "eps1-nan", "offset-scalar", "bell-nan", "widths-sphere", "equidistribute-klein"])
+        "eps1-nan", "offset-scalar", "bell-nan", "widths-sphere", "equidistribute-klein",
+        "radus-typo", "radius-torus", "radius-dumbbell"])
 def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -160,5 +157,5 @@ def test_equidistribute_small(tmp_path):
 
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["selftest", "--threads", "2", "--out", str(tmp_path)])
+        cli.main(["partition", "--threads", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2

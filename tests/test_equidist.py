@@ -11,8 +11,9 @@ from geonets import (ConformalFamily, FlatTorus, ScalarField, Sphere, WeightedNe
                      build_partition, convex_gradient_search, discrepancy,
                      discrepancy_transfer, merge_sequences, merged_block_ratios,
                      min_norm_point, rationalize,
-                     ratio_series, running_ratio, sphere_latitude, torus_geodesic)
-from geonets import equidist
+                     ratio_series, running_ratio, sphere_latitude, torus_geodesic,
+                     torus_theta_net)
+from geonets import equidist, nets
 from geonets.equidist import (BumpSystem, _bump_1d, _bump_1d_periodic, _merge_schedule,
                                _sphere_angles, _volume_psi_averages)
 from geonets.surfaces import _QUAD_BLOCK, _det2
@@ -456,3 +457,15 @@ def test_running_ratio_converges(torus):
     assert abs(series[-1] - 0.25) < 0.01
     with pytest.raises(ValueError):
         running_ratio([], fld, torus)
+
+
+def test_running_ratio_measures_each_edge_once(torus, monkeypatch):
+    # the ratio once called integrate and then length: two midpoint rules per edge
+    fld = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]) ** 2)
+    seq = [torus_geodesic((k, 1), samples=32 + k) for k in range(1, 6)]
+    seq.append(torus_theta_net([(1, 0), (0, 1), (-1, -1)]))
+    ref = ratio_series([n.integrate(fld, torus) for n in seq], [n.length(torus) for n in seq])
+    rule, calls = nets.midpoint_rule, []
+    monkeypatch.setattr(nets, "midpoint_rule", lambda *args: calls.append(args[1]) or rule(*args))
+    assert np.array_equal(running_ratio(seq, fld, torus), ref)
+    assert len(calls) == sum(len(n.graph.edges) for n in seq)

@@ -41,10 +41,12 @@ def test_torus_volume_is_one(torus):
 
 def test_sphere_metric_spd(sphere, rng):
     x = rng.uniform(-1.5, 1.5, size=(60, 2))
-    for chart in ("north", "south"):
-        g = sphere.metric(chart, x)
-        eig = np.linalg.eigvalsh(g)
-        assert np.all(eig > 0)
+    psi = ScalarField(lambda c, x: np.sin(np.asarray(x)[..., 0]) * np.cos(np.asarray(x)[..., 1]))
+    for metric in (sphere, ConformalFamily(sphere, [psi]).at([0.4])):
+        for chart in ("north", "south"):
+            g = metric.metric(chart, x)
+            eig = np.linalg.eigvalsh(g)
+            assert np.all(eig > 0)
 
 
 def test_sphere_embed_roundtrip(sphere, rng):
@@ -482,4 +484,16 @@ def test_load_surface_from_config():
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.2"])
 def test_load_surface_rejects_a_bad_parameter(kind, key, value):
     with pytest.raises(DomainError, match=key):
+        load_surface({"kind": kind, key: value})
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("sphere", "radus", "2.0"),             # once the unit sphere, K = 284
+    ("torus", "radius", "2.0"),             # once the unit torus
+    ("torus", "injectivity_bound", "5"),    # once build_partition(torus, 4.0).K == 1
+    ("dumbbell", "radius", "2.0"),
+    ("sphere", "neck", "0.3"),
+])
+def test_load_surface_rejects_an_unread_key(kind, key, value):
+    with pytest.raises(DomainError, match=f"'{key}' for surface kind '{kind}'"):
         load_surface({"kind": kind, key: value})

@@ -435,7 +435,8 @@ def test_measuring_on_a_foreign_chart_is_domain_error(measure, torus, sphere):
     # a sphere latitude on the torus once read length 3.432, an embeddedness
     # F1 of 3.431 and "no opposite tangent match"; a torus circle on the
     # sphere read length 1.5708.  A torus net on the dumbbell shares the
-    # chart name 'main': only the lattice check of the solver's dofs sees it
+    # chart name 'main': the lattice check of the solver and the
+    # certificates sees it, not the chart check of a measurement
     for net, metric, chart in [(sphere_latitude(sphere, 1.0), torus, "north"),
                                (torus_geodesic((1, 0)), sphere, "main")]:
         with pytest.raises(DomainError, match=f"chart '{chart}' is not a chart of {metric.name}"):
@@ -742,6 +743,20 @@ def test_limited_least_distance_is_bit_identical(torus, dumbbell, monkeypatch):
         ref = embeddedness_certificate(net, metric, M_bound=12, cert_samples=n)
         assert cert.dE_min == ref.dE_min
         assert cert.dEE_min == ref.dEE_min
+
+
+def test_certificates_refuse_an_edge_the_solver_refuses(torus, dumbbell):
+    # both certificates once passed an open arc on the torus, from (0.1, 0.2)
+    # to (1.1, 0.5), and a torus circle on the dumbbell, whose chart is also
+    # called 'main' but whose u axis is not periodic; the solve refused both
+    start, t = np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 33)[:, None]
+    arc = GammaNet(WeightedMultigraph(["o"], [Edge("o", "o", 1)]), {"o": ("main", start)},
+                   [("main", start + t * [1.0, 0.3])])
+    for net, metric in [(arc, torus), (torus_geodesic((1, 0)), dumbbell)]:
+        for check in (closed_geodesic_certificate, lambda n, m: embeddedness_certificate(n, m, 12),
+                      stationarity_residual, solve_stationary):
+            with pytest.raises(DomainError, match="edge 0 on chart 'main' is not closed by a lattice"):
+                check(net, metric)
 
 
 def test_closed_geodesic_certificate_circle(torus):
