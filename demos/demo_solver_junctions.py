@@ -2,14 +2,13 @@
 
 Starts from a crude theta-shaped initializer, minimizes total length,
 and prints the junction angles (which settle at 120 degrees), read from
-the solver's edge-end table, together with the embeddedness certificate
-of the solved net.
+the embeddedness certificate of the solved net, together with the rest
+of that certificate.
 """
 
 import numpy as np
 
 import geonets as gn
-from geonets.solver import _edge_ends, _end_cosines
 
 
 def main():
@@ -21,15 +20,15 @@ def main():
     print(f"solved length:  {res.length:.10f} "
           f"(converged={res.converged}, residual={res.residual:.2e})")
 
-    # the pairwise angles of the inward unit tangents at each vertex, from
-    # the solver's edge-end table and its junction cosines
-    vertex, unit, g = _edge_ends(res.net, torus)
-    pairs, cos = _end_cosines(vertex, unit, g)
-    for k, v in enumerate(res.net.graph.vertices):
-        angles = [np.degrees(np.arccos(np.clip(cos[a][b], -1, 1))) for a, b in pairs if vertex[a] == k]
+    # F2 holds the cosine of every two inward unit tangents at one vertex,
+    # keyed by their (edge, end) pairs in both orders
+    cert = gn.embeddedness_certificate(res.net, torus, M_bound=12)
+    edges = res.net.graph.edges
+    for v in res.net.graph.vertices:
+        angles = [np.degrees(np.arccos(np.clip(cos, -1, 1))) for (a, b), cos in cert.F2_values.items()
+                  if a < b and edges[a[0]].endpoint(a[1]) == v]
         print(f"vertex {v}: pairwise angles {[f'{x:.4f}' for x in angles]}")
 
-    cert = gn.embeddedness_certificate(res.net, torus, M_bound=12)
     print(f"certificate satisfied: {cert.all_satisfied()}  "
           f"(F1={cert.F1:.4f}, C3={cert.C3_norm:.2f}, "
           f"min dE={min(cert.dE_min.values()):.4f})")

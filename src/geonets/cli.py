@@ -10,7 +10,8 @@ configuration errors and on the library's ``ValueError`` (``DomainError``,
 ``DegenerateNetError``, unparsable numbers).  ``solve-net``, ``widths``
 and ``equidistribute`` run on the torus only and exit 2 on any other
 ``[surface] kind``; ``dumbbell`` reads ``[surface] neck`` and ``bell``,
-and a ``[surface]`` key that the surface's kind does not read exits 2.
+and a ``[surface]`` key that the surface's kind does not read exits 2, as
+does a non-empty ``[DEFAULT]``: no key is shared between sections.
 CSV outputs embed the config hash, the seed and a subcommand's summary
 values (such as the slope gap or the bump count) as ``# key = value``
 comment lines; JSON outputs carry the hash and the seed under ``meta``.
@@ -35,11 +36,13 @@ from . import equidist, minmax, nets, solver, surfaces, variation
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
-    cfg.read_dict({"surface": {"kind": "torus"}, "run": {}})
+    cfg.read_dict({"surface": {"kind": "torus"}})
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
         cfg.read(path)
+    if cfg.defaults():
+        raise ConfigError(f"[DEFAULT] keys are read nowhere: {', '.join(cfg.defaults())}")
     return cfg
 
 
@@ -76,7 +79,7 @@ def _meta(cfg, seed, **extra):
 
 
 def _torus(cfg, command):
-    surface = surfaces.load_surface(cfg)
+    surface = surfaces.load_surface(cfg["surface"])
     if not isinstance(surface, surfaces.FlatTorus):
         raise ConfigError(f"{command} runs on the torus only, not on a {surface.name}")
     return surface
@@ -155,7 +158,7 @@ def widths(cfg, seed):
 
 
 def partition(cfg, seed):
-    surface = surfaces.load_surface(cfg)
+    surface = surfaces.load_surface(cfg["surface"])
     eps1 = float(cfg.get("partition", "eps1", fallback="0.3"))
     k_min = int(cfg.get("partition", "k_min", fallback="4"))
     bumps = equidist.build_partition(surface, eps1, k_min)

@@ -17,7 +17,7 @@ from .nets import (Edge, GammaNet, WeightedMultigraph, _coordinate_circles, _lat
                    _net_length)
 from .solver import solve_stationary
 from .surfaces import (Dumbbell, DumbbellWidthFamily, FlatTorus, Sphere, Surface,
-                       _positive_int, _root_surface, midpoint_rule, volume)
+                       _chart_rows, _positive_int, _root_surface, midpoint_rule, volume)
 
 
 @dataclass
@@ -50,10 +50,9 @@ class Sweepout:
         charts, loops = self.slices(np.asarray(cs, dtype=float))
         k, m = loops.shape[1:3]
         out = np.empty(len(charts))
-        for chart in np.unique(charts):
-            sel = charts == chart
+        for chart, sel in _chart_rows(charts):
             pts = loops[sel]
-            seg = midpoint_rule(metric, str(chart), pts[:, :, :-1].reshape(-1, 2),
+            seg = midpoint_rule(metric, chart, pts[:, :, :-1].reshape(-1, 2),
                                 pts[:, :, 1:].reshape(-1, 2))[0]
             out[sel] = _net_length([1] * k, np.moveaxis(seg.reshape(-1, k, m - 1), 1, 0))
         return out

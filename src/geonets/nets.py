@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Surface, midpoint_rule
+from .surfaces import Surface, _chart, midpoint_rule
 
 
 class DegenerateNetError(ValueError):
@@ -171,7 +171,7 @@ class GammaNet:
         segs, total = [], 0.0
         for e, (chart, pts) in zip(self.graph.edges, self.edge_paths):
             seg = midpoint_rule(metric, chart, pts[:-1], pts[1:])[0]
-            hv = np.asarray(value(chart, metric.wrap(chart, pts)))
+            hv = np.asarray(value(chart, _chart(metric, chart).wrap(pts)))
             segs.append(seg)
             total += e.mult * np.sum(0.5 * (hv[..., :-1] + hv[..., 1:]) * seg, axis=-1)
         length = float(_net_length((e.mult for e in self.graph.edges), segs))

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import DomainError, Surface, _chart, _positive_int, midpoint_rule
+from .surfaces import DomainError, Surface, _chart, _chart_rows, _positive_int, midpoint_rule
 
 
 @dataclass
@@ -123,10 +123,7 @@ class _Dofs:
         runs = np.diff(ends, prepend=0) - 1
         self.seg_bounds = np.cumsum(runs)[:-1]
         self.mult = np.repeat([float(e.mult) for e in net.graph.edges], runs)
-        charts = np.repeat(charts, runs)
-        names = list(dict.fromkeys(charts))
-        self.chart_segments = [(c, np.flatnonzero(charts == c) if len(names) > 1 else slice(None))
-                               for c in names]
+        self.chart_segments = _chart_rows(np.repeat(charts, runs))
         # the dof of each (segment end, coordinate): every segment's end, then its start
         tips = np.concatenate([self.pidx[self.seg + 1], self.pidx[self.seg]])
         self.scatter = (2 * tips[:, None] + np.arange(2)).ravel()
@@ -335,9 +332,8 @@ def _edge_ends(net: GammaNet, metric: Surface):
     tips = np.concatenate([pts.take((0, -1, 1, -2), axis=0) for _, pts in net.edge_paths])
     tips = tips.reshape(-1, 2, 2, 2)        # edge, (end samples, their neighbours), endpoint, xy
     at, inward = tips[:, 0].reshape(-1, 2), (tips[:, 1] - tips[:, 0]).reshape(-1, 2)
-    names, g = list(dict.fromkeys(charts)), np.empty((len(at), 2, 2))
-    for chart in names:
-        sel = np.repeat([c == chart for c in charts], 2) if len(names) > 1 else slice(None)
+    g = np.empty((len(at), 2, 2))
+    for chart, sel in _chart_rows(np.repeat(charts, 2)):
         g[sel] = metric.metric(chart, at[sel])
     norm = np.sqrt(_g_dot(inward, g, inward))
     if not norm.all():

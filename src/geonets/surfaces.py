@@ -14,7 +14,6 @@ residuals are free of finite-difference noise.
 
 from __future__ import annotations
 
-import configparser
 import functools
 import math
 import numbers
@@ -71,10 +70,20 @@ def constant_field(c):
 
 @dataclass
 class Chart:
+    """The coordinate box from ``lo`` to ``hi``; a periodic axis closes up."""
+
     name: str
     lo: np.ndarray
     hi: np.ndarray
     periodic: tuple = (False, False)
+
+    def wrap(self, x):
+        """``x`` with each periodic coordinate reduced into [lo, hi)."""
+        x = np.array(x, dtype=float)
+        for k, per in enumerate(self.periodic):
+            if per:
+                x[..., k] = self.lo[k] + np.mod(x[..., k] - self.lo[k], self.hi[k] - self.lo[k])
+        return x
 
 
 def _chart(surface, name):
@@ -83,6 +92,14 @@ def _chart(surface, name):
     if name not in surface.charts:
         raise DomainError(f"chart {name!r} is not a chart of {surface.name}")
     return surface.charts[name]
+
+
+def _chart_rows(charts):
+    """``(chart, rows)`` for each distinct name of the list or 1-D array
+    ``charts``: the indices of its entries, ``slice(None)`` for one chart."""
+    charts = np.asarray(charts)
+    names = list(dict.fromkeys(charts.tolist()))
+    return [(c, np.flatnonzero(charts == c) if len(names) > 1 else slice(None)) for c in names]
 
 
 def midpoint_rule(surface, chart, a, b, deriv=False):
@@ -107,7 +124,6 @@ class Surface:
 
     def __init__(self):
         self.charts: dict[str, Chart] = {}
-        self.injectivity_lower_bound = 1.0
         self._mesh_cache = {}
 
     # -- tensor field ------------------------------------------------------
@@ -140,17 +156,6 @@ class Surface:
         d_l_gij = np.moveaxis(dg, -3, -1)             # [..., i, j, l] = d_l g_ij
         bracket = d_i_gjl + d_j_gil - d_l_gij
         return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
-
-    # -- chart bookkeeping -------------------------------------------------
-
-    def transition(self, src, dst, x):
-        if src == dst:
-            return np.asarray(x, dtype=float)
-        raise DomainError(f"no transition {src!r} -> {dst!r} on {self.name}")
-
-    def wrap(self, chart, x):
-        """Canonical representative of a point (identity by default)."""
-        return np.asarray(x, dtype=float)
 
     # -- quadrature --------------------------------------------------------
 
@@ -187,14 +192,13 @@ class Surface:
         and a pair snapped to one node is measured along the short chart
         segment between its points.  Dijkstra stops at ``limit``: a pair
         of nodes farther apart reads ``inf``, every other distance is the
-        same as without a limit.  Closed forms ignore ``limit``.
-        """
+        same as without a limit.  Only the mesh takes ``limit``.  Foreign
+        charts raise DomainError, as in every :meth:`distances`."""
         from scipy.sparse.csgraph import dijkstra
 
         n = 97
         box, h, graph = self._mesh(n)
-        P = self.transition(chart_p, box.name, P)
-        Q = self.transition(chart_q, box.name, Q)
+        _chart(self, chart_p), _chart(self, chart_q)      # the box is the one chart
         modes = ["wrap" if per else "clip" for per in box.periodic]
         ip, iq = (np.ravel_multi_index(np.rint((X - box.lo) / h).astype(int).T, (n, n),
                                        mode=modes) for X in (P, Q))
@@ -284,8 +288,8 @@ class FlatTorus(Surface):
     """Unit square flat torus; one periodic chart, identity tensor.
 
     Chart coordinates may be given unwrapped (outside [0,1)^2): the
-    metric is translation invariant and :meth:`wrap` reduces modulo the
-    lattice.
+    metric is translation invariant and the chart's :meth:`Chart.wrap`
+    reduces modulo the lattice.
     """
 
     name = "torus"
@@ -309,9 +313,6 @@ class FlatTorus(Surface):
     def area_density(self, chart, x):
         return np.ones(np.shape(x)[:-1])
 
-    def wrap(self, chart, x):
-        return np.mod(np.asarray(x, dtype=float), 1.0)
-
     def geodesic_midpoint(self, chart, p, q):
         return 0.5 * (np.asarray(p, dtype=float) + np.asarray(q, dtype=float))
 
@@ -323,10 +324,11 @@ class FlatTorus(Surface):
 
     closed_form_distances = True
 
-    def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
+    def distances(self, chart_p, P, chart_q, Q):
         """Flat distances by the per-axis minimum image: each coordinate
         difference d becomes d - rint(d), in [-1/2, 1/2], so every pair has
-        one candidate and unwrapped points need no :meth:`wrap`."""
+        one candidate and unwrapped points need no :meth:`Chart.wrap`."""
+        _chart(self, chart_p), _chart(self, chart_q)
         P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
         d = [Q[None, :, k] - P[:, None, k] for k in range(2)]
         for dk in d:
@@ -342,7 +344,7 @@ class Sphere(Surface):
     """Round sphere of radius R in two stereographic charts.
 
     Chart ``north`` projects from the south pole (origin = north pole),
-    chart ``south`` from the north pole; the transition is the inversion
+    chart ``south`` from the north pole; the change of chart is the inversion
     ``x -> (x1, -x2)/|x|^2``.  In either chart
     ``g = 4 R^2 / (1 + |x|^2)^2 * I``.
     """
@@ -384,16 +386,6 @@ class Sphere(Surface):
         out[..., 1, 1, 1] = dlam[..., 1]
         return out
 
-    def transition(self, src, dst, x):
-        x = np.asarray(x, dtype=float)
-        if src == dst:
-            return x
-        r2 = np.sum(x * x, axis=-1, keepdims=True)
-        out = np.empty_like(x)
-        out[..., 0] = x[..., 0]
-        out[..., 1] = -x[..., 1]
-        return out / r2
-
     # embedding helpers ----------------------------------------------------
 
     def embed(self, chart, x):
@@ -419,7 +411,9 @@ class Sphere(Surface):
 
     closed_form_distances = True
 
-    def distances(self, chart_p, P, chart_q, Q, limit=np.inf):
+    def distances(self, chart_p, P, chart_q, Q):
+        """Great-circle distances between the embedded points."""
+        _chart(self, chart_p), _chart(self, chart_q)
         up = self.embed(chart_p, P) / self.radius
         uq = self.embed(chart_q, Q) / self.radius
         return self.radius * np.arccos(np.clip(up @ uq.T, -1.0, 1.0))
@@ -518,11 +512,6 @@ class Dumbbell(Surface):
         out[..., 0, 1, 1] = 2.0 * r * rp
         return out
 
-    def wrap(self, chart, x):
-        x = np.asarray(x, dtype=float).copy()
-        x[..., 1] = np.mod(x[..., 1], 2 * np.pi)
-        return x
-
     def quadrature(self, n):
         m = self.u_margin
         nu, nth = n, n
@@ -539,8 +528,8 @@ class Dumbbell(Surface):
 # ---------------------------------------------------------------------------
 
 class DerivedSurface(Surface):
-    """A tensor of its own on the charts of ``base``: charts, injectivity
-    bound, transitions, wrapping and quadrature are the base's."""
+    """A tensor of its own on the charts of ``base`` (so their boxes and
+    wrapping), with the base's injectivity bound and quadrature."""
 
     def __init__(self, base: Surface, name):
         super().__init__()
@@ -548,12 +537,6 @@ class DerivedSurface(Surface):
         self.charts = base.charts
         self.injectivity_lower_bound = base.injectivity_lower_bound
         self.name = name
-
-    def transition(self, src, dst, x):
-        return self.base.transition(src, dst, x)
-
-    def wrap(self, chart, x):
-        return self.base.wrap(chart, x)
 
     def quadrature(self, n):
         return self.base.quadrature(n)
@@ -805,11 +788,9 @@ _SURFACE_KINDS = {"torus": (FlatTorus, ()), "sphere": (Sphere, ("radius",)),
 
 
 def load_surface(config) -> Surface:
-    """The surface a config mapping or [surface] section names: ``kind``
-    (torus, sphere or dumbbell; torus by default) and only the keys that
-    kind reads (:data:`_SURFACE_KINDS`); any other key is a DomainError."""
-    if isinstance(config, configparser.ConfigParser):
-        config = dict(config["surface"]) if config.has_section("surface") else dict(config.defaults())
+    """The surface a mapping such as a config's [surface] section names:
+    ``kind`` (torus, sphere or dumbbell; torus by default) and only the keys
+    that kind reads (:data:`_SURFACE_KINDS`); any other key is a DomainError."""
     kind = str(config.get("kind", "torus")).lower()
     if kind not in _SURFACE_KINDS:
         raise DomainError(f"unknown surface kind {kind!r}")

@@ -125,6 +125,16 @@ def test_library_errors_are_exit_2(subcommand, config, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_default_section_is_exit_2(tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into [surface], which once refused
+    # 'seed' as an unknown surface key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[DEFAULT]\nseed = 3\n")
+    rc = cli.main(["partition", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+
+
 def test_failed_check_prints_its_summary(tmp_path, capsys):
     # a failed check once exited 1 without a word
     cfg = tmp_path / "run.cfg"

@@ -27,12 +27,28 @@ def test_torus_metric_is_identity(torus, rng):
 
 
 def test_torus_wrap_and_distance(torus):
-    assert np.allclose(torus.wrap("main", np.array([1.25, -0.5])), [0.25, 0.5])
+    assert np.allclose(torus.charts["main"].wrap(np.array([1.25, -0.5])), [0.25, 0.5])
     # distance uses the shortest lattice representative
     d = torus.distance("main", np.array([0.1, 0.1]), "main", np.array([0.9, 0.1]))
     assert d == pytest.approx(0.2, abs=1e-12)
     d = torus.distance("main", np.array([0.0, 0.0]), "main", np.array([0.5, 0.5]))
     assert d == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  min_size=1, max_size=6).map(lambda p: np.array(p, dtype=float)))
+def test_chart_wrap_matches_the_surface_wraps_it_replaced(torus, dumbbell, x):
+    # once FlatTorus.wrap and Dumbbell.wrap: equal bit for bit, -0.0 included
+    assert np.array_equal(_bits(torus.charts["main"].wrap(x)), _bits(np.mod(x, 1.0)))
+    theta = x.copy()
+    theta[:, 1] = np.mod(theta[:, 1], 2 * np.pi)
+    assert np.array_equal(_bits(dumbbell.charts["main"].wrap(x)), _bits(theta))
 
 
 def test_torus_volume_is_one(torus):
@@ -58,9 +74,10 @@ def test_sphere_embed_roundtrip(sphere, rng):
 
 
 def test_sphere_transition_consistency(sphere, rng):
-    # a point seen from both charts is the same embedded point
+    # a point seen from both charts is the same embedded point; the change
+    # of chart is the inversion (x1, -x2) / |x|^2
     x = rng.uniform(0.5, 1.2, size=(20, 2))
-    y = sphere.transition("north", "south", x)
+    y = x * [1.0, -1.0] / np.sum(x * x, axis=-1, keepdims=True)
     assert np.allclose(sphere.embed("north", x), sphere.embed("south", y), atol=1e-10)
 
 
@@ -364,6 +381,20 @@ def test_pairwise_distances_match_references(torus, dumbbell, rng):
     assert dumbbell.distance("main", P[6], "main", P[8]) == D[6, 6]
 
 
+@pytest.mark.parametrize("make, chart", [(FlatTorus, "north"), (FlatTorus, "south"),
+                                         (Sphere, "main"), (Dumbbell, "north")])
+def test_distances_refuse_a_foreign_chart(make, chart):
+    # the torus once measured 'north' points as its own, the sphere read
+    # 'main' as its north chart
+    surf = make()
+    (home, *_), p, q = surf.charts, np.array([0.1, 0.2]), np.array([0.4, 0.3])
+    for a, b in ((chart, home), (home, chart)):
+        with pytest.raises(DomainError, match=f"chart '{chart}' is not a chart of {surf.name}"):
+            surf.distances(a, p[None], b, q[None])
+        with pytest.raises(DomainError, match=f"chart '{chart}' is not a chart of {surf.name}"):
+            surf.distance(a, p, b, q)
+
+
 def _nine_shift_distances(P, Q):
     """Torus distances as first computed: both point sets wrapped into the
     unit square, then the least of the nine lattice shifts of each pair."""
@@ -469,7 +500,7 @@ def test_dumbbell_mesh_matches_stencil_loop(dumbbell, rng):
 def test_load_surface_from_config():
     cfg = configparser.ConfigParser()
     cfg.read_dict({"surface": {"kind": "sphere", "radius": "2.0"}})
-    surf = load_surface(cfg)
+    surf = load_surface(cfg["surface"])
     assert isinstance(surf, Sphere)
     assert surf.radius == 2.0
     assert isinstance(load_surface({"kind": "torus"}), FlatTorus)
