@@ -57,10 +57,8 @@ class Run(NamedTuple):
 
 
 def _config_hash(cfg):
-    items = []
-    for section in sorted(cfg.sections()):
-        for key in sorted(cfg[section]):
-            items.append(f"{section}.{key}={cfg[section][key]}")
+    items = [f"{section}.{key}={cfg[section][key]}"
+             for section in sorted(cfg.sections()) for key in sorted(cfg[section])]
     return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
 
 

@@ -352,10 +352,13 @@ def _affine_min_norm(P):
 def min_norm_point(P):
     """Wolfe's algorithm: min-norm point of Conv(rows of P).
 
-    Returns (weights over all rows, attained point).
+    Returns (weights over all rows, attained point); ValueError on no rows
+    or a non-finite entry.
     """
     P = np.asarray(P, dtype=float)
     m = P.shape[0]
+    if not m or not np.isfinite(P).all():
+        raise ValueError("min_norm_point needs at least one row, all of them finite")
     j0 = int(np.argmin(np.einsum("ij,ij->i", P, P)))
     support = [j0]
     w = np.array([1.0])

@@ -217,24 +217,28 @@ def minmax_upper_bound(sweepout: Sweepout, metric: Surface) -> WidthEstimate:
 # curve shortening
 # ---------------------------------------------------------------------------
 
-def _half_sweeps(m):
-    """Index blocks, in update order, of one red-black sweep over m points."""
-    if m % 2 == 0:
-        return [np.arange(0, m, 2), np.arange(1, m, 2)]
-    blocks = [np.arange(0, m - 1, 2), np.array([m - 1]), np.arange(1, m, 2)]
-    return [b for b in blocks if b.size]
+def _sweep_plan(pts):
+    """``(ext, blocks, offset)`` of the closed loop ``pts``: ``ext`` frames
+    its m open-loop points by the last less the closure offset and the
+    first plus it, so ``ext[1:]`` is the loop; each red-black block holds
+    rows of ``ext`` and their neighbour rows.  On an odd loop the last
+    point neighbours point 0, so it moves after the rest of its class."""
+    m, offset = pts.shape[0] - 1, pts[-1] - pts[0]
+    blocks = [np.arange(1, m + 1, 2), np.arange(2, m + 1, 2)]
+    if m % 2:
+        blocks = [blocks[0][:-1], blocks[0][-1:], blocks[1]]
+    return (np.vstack([pts[-2] - offset, pts[:-1], pts[0] + offset]),
+            [(b, b - 1, b + 1) for b in blocks if b.size], offset)
 
 
-def _birkhoff_sweep(metric: Surface, chart, y, offset):
-    """One red-black Gauss-Seidel sweep, in place, over the open loop ``y``
-    closed by ``offset``: each point moves half way to the geodesic
-    midpoint of its neighbours.  A parity class reads only the other
-    class, except that on an odd loop the last point neighbours point 0
-    and so moves after the rest of its class."""
-    for idx in _half_sweeps(y.shape[0]):
-        ext = np.vstack([y[-1] - offset, y, y[0] + offset])
-        mid = metric.geodesic_midpoint(chart, ext[idx], ext[idx + 2])
-        y[idx] = 0.5 * y[idx] + 0.5 * mid
+def _birkhoff_sweep(metric: Surface, chart, ext, blocks, offset):
+    """One red-black Gauss-Seidel sweep, in place, over the buffer ``ext``
+    of :func:`_sweep_plan`: each point moves half way to the geodesic
+    midpoint of its neighbours, and the frame rows follow every block."""
+    for rows, left, right in blocks:
+        mid = metric.geodesic_midpoint(chart, ext[left], ext[right])
+        ext[rows] = 0.5 * ext[rows] + 0.5 * mid
+        ext[0], ext[-1] = ext[-2] - offset, ext[1] + offset
 
 
 #: Birkhoff sweeps go on while one lowers the total length by at least
@@ -261,10 +265,10 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface) -> ShortenResult:
         if e.v0 != e.v1:
             raise ValueError("birkhoff_shorten expects a union of loop edges")
 
-    loops = [(chart, pts[:-1].copy(), pts[-1] - pts[0]) for chart, pts in cycle.edge_paths]
+    loops = [(chart, *_sweep_plan(pts)) for chart, pts in cycle.edge_paths]
 
-    def loop_length(chart, y, offset):
-        return float(np.sum(midpoint_rule(metric, chart, y, np.vstack([y[1:], y[0] + offset]))[0]))
+    def loop_length(chart, ext, *_):
+        return float(midpoint_rule(metric, chart, ext[1:-1], ext[2:])[0].sum())
 
     lengths = [loop_length(*lp) for lp in loops]
     prev, sweeps, collapsed = sum(lengths), 0, False
@@ -280,9 +284,9 @@ def birkhoff_shorten(cycle: GammaNet, metric: Surface) -> ShortenResult:
         prev = cur
 
     net = cycle.copy()
-    for j, (e, (chart, y, offset)) in enumerate(zip(net.graph.edges, loops)):
-        net.edge_paths[j] = (chart, np.vstack([y, y[0] + offset]))
-        net.vertex_points[e.v0] = (chart, y[0].copy())
+    for j, (e, (chart, ext, *_)) in enumerate(zip(net.graph.edges, loops)):
+        net.edge_paths[j] = (chart, ext[1:].copy())
+        net.vertex_points[e.v0] = (chart, ext[1].copy())
     if collapsed:
         return ShortenResult(net=net, length=sum(lengths), collapsed=True, sweeps=sweeps)
     res = solve_stationary(net, metric, length_floor=0.5 * min(lengths))

@@ -81,11 +81,9 @@ class WeightedMultigraph:
         flags = []
         for comp in self.components():
             edges = [self.edges[i] for i in comp]
-            if len(edges) == 1 and edges[0].v0 == edges[0].v1:
-                flags.append(True)
-                continue
             verts = {e.v0 for e in edges} | {e.v1 for e in edges}
-            flags.append(all(self.degree(v) >= 3 for v in verts))
+            flags.append((len(edges) == 1 and edges[0].v0 == edges[0].v1)
+                         or all(self.degree(v) >= 3 for v in verts))
         return flags
 
 
@@ -220,13 +218,12 @@ class GammaNet:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        doc = {
+        return json.dumps({
             "vertices": self.graph.vertices,
             "edges": [[e.v0, e.v1, e.mult] for e in self.graph.edges],
             "vertex_points": {v: [c, list(map(float, x))] for v, (c, x) in self.vertex_points.items()},
             "edge_paths": [[c, p.tolist()] for c, p in self.edge_paths],
-        }
-        return json.dumps(doc)
+        })
 
     @classmethod
     def from_json(cls, text):
@@ -301,10 +298,6 @@ def torus_theta_net(shifts, offset=(0.0, 0.0), samples=48):
     edges in distinct homotopy classes.
     """
     a = _torus_point(offset)
-    b = a + 0.25
-    paths = []
-    for s in shifts:
-        tgt = b + np.asarray(s, dtype=float)
-        t = np.linspace(0.0, 1.0, samples)[:, None]
-        paths.append(("main", a + t * (tgt - a)))
+    b, t = a + 0.25, np.linspace(0.0, 1.0, samples)[:, None]
+    paths = [("main", a + t * (b + np.asarray(s, dtype=float) - a)) for s in shifts]
     return GammaNet(theta_graph(), {"a": ("main", a), "b": ("main", b)}, paths)

@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .nets import DegenerateNetError, GammaNet
-from .surfaces import DomainError, Surface, _chart, _chart_rows, _positive_int, midpoint_rule
+from .surfaces import (_MESH_NODES, DomainError, Surface, _chart, _chart_rows, _positive_int,
+                       midpoint_rule)
 
 
 @dataclass
@@ -73,19 +74,22 @@ class ClosedGeodesicResult:
 def _edge_charts(net: GammaNet, surface: Surface):
     """The chart of every edge, after the one closure check of a net: each
     edge lies on a chart of ``surface`` (``_chart``) and on that of its two
-    vertices (ValueError), and each of its ends sits a lattice shift of
-    that chart from its vertex: none on a closed axis, whole periods on a
-    periodic one (DomainError)."""
+    vertices (ValueError), has finite samples, and each of its ends sits a
+    lattice shift of that chart from its vertex: none on a closed axis,
+    whole periods on a periodic one (DomainError; a NaN vertex is none)."""
     charts, edges, at = [c for c, _ in net.edge_paths], net.graph.edges, net.vertex_points
     box = [_chart(surface, c) for c in charts]
     if any(at[e.v0][0] != c or at[e.v1][0] != c for e, c in zip(edges, charts)):
         raise ValueError("edge endpoints must share the chart of their vertices")
+    for k, (c, pts) in enumerate(net.edge_paths):
+        if not np.isfinite(pts).all():
+            raise DomainError(f"edge {k} on chart {c!r} has a non-finite sample")
     tips = np.array([(pts[0], pts[-1], at[e.v0][1], at[e.v1][1])
                      for e, (_, pts) in zip(edges, net.edge_paths)])
     laps = (tips[:, :2] - tips[:, 2:]) / np.array([b.hi - b.lo for b in box])[:, None]
-    miss = np.abs(laps - np.where(np.array([b.periodic for b in box])[:, None], np.round(laps), 0.0))
-    if miss.max() > 1e-9:
-        k = int(np.argmax(miss.max(axis=(1, 2)) > 1e-9))
+    miss = np.abs(laps - np.array([b.periodic for b in box])[:, None] * np.rint(laps))
+    if not miss.max() <= 1e-9:                    # NaN, from a vertex, is no lattice shift
+        k = int(np.argmin(miss.max(axis=(1, 2)) <= 1e-9))
         raise DomainError(f"edge {k} on chart {charts[k]!r} is not closed by a lattice shift "
                           f"of {surface.name}")
     return charts
@@ -545,22 +549,25 @@ def is_nondegenerate(net: GammaNet, metric: Surface, tol):
 # ---------------------------------------------------------------------------
 
 def _least_distance(metric, chart_p, P, chart_q, Q, keep):
-    """Least distance over the pairs (P[a], Q[b]) with keep[a, b].
-
-    On a mesh the first kept row runs unbounded and the others stop at its
-    kept minimum: that is an attained distance, so the least one is the
-    same bit for bit.  Closed forms take every row in one call."""
+    """Least distance over the pairs (P[a], Q[b]) with keep[a, b], from one
+    ``distances`` call over the kept rows.  On a mesh its Dijkstra stops at
+    1.25 times the least short chart segment of a kept pair, at least one
+    mesh step; the limit doubles while the least kept distance lies past
+    it, and the fifth call is unbounded.  A distance within the limit is
+    the unbounded one bit for bit, so a least one within it is exact."""
     rows = np.flatnonzero(keep.any(axis=1))
     if not rows.size:
         return np.inf
     if metric.closed_form_distances:
         return float(np.min(metric.distances(chart_p, P[rows], chart_q, Q)[keep[rows]]))
-    first, rest = rows[:1], rows[1:]
-    least = np.min(metric.distances(chart_p, P[first], chart_q, Q)[keep[first]])
-    if rest.size:
-        limited = metric.distances(chart_p, P[rest], chart_q, Q, limit=least)[keep[rest]]
-        least = min(least, np.min(limited))
-    return float(least)
+    box, h, _ = metric._mesh(_MESH_NODES)
+    a, b = np.nonzero(keep)
+    seg = midpoint_rule(metric, box.name, P[a], P[a] + box.short_step(Q[b] - P[a]))[0]
+    seed = max(1.25 * np.min(seg), np.min(h))
+    for limit in (*seed * 2.0 ** np.arange(4), np.inf):
+        least = float(np.min(metric.distances(chart_p, P[rows], chart_q, Q, limit=limit)[keep[rows]]))
+        if least <= limit:
+            return least
 
 
 def embeddedness_certificate(net: GammaNet, metric: Surface, M_bound,

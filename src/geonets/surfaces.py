@@ -50,12 +50,8 @@ class ScalarField:
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(chart, np.asarray(x, dtype=float)))
         x = np.asarray(x, dtype=float)
-        cols = []
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = 1e-6
-            cols.append((self.value(chart, x + dx) - self.value(chart, x - dx)) / 2e-6)
-        return np.stack(cols, axis=-1)
+        return np.stack([(self.value(chart, x + dx) - self.value(chart, x - dx)) / 2e-6
+                         for dx in 1e-6 * np.eye(2)], axis=-1)
 
 
 def constant_field(c):
@@ -84,6 +80,12 @@ class Chart:
             if per:
                 x[..., k] = self.lo[k] + np.mod(x[..., k] - self.lo[k], self.hi[k] - self.lo[k])
         return x
+
+    def short_step(self, d):
+        """Chart differences ``d`` with each periodic coordinate taken to
+        its short image, in [-span/2, span/2]."""
+        span = self.hi - self.lo
+        return np.where(self.periodic, d - span * np.round(d / span), d)
 
 
 def _chart(surface, name):
@@ -190,13 +192,14 @@ class Surface:
         rounded per axis and wrapped on periodic axes (so theta = 2 pi
         snaps to theta = 0); one Dijkstra runs per distinct node of ``P``,
         and a pair snapped to one node is measured along the short chart
-        segment between its points.  Dijkstra stops at ``limit``: a pair
-        of nodes farther apart reads ``inf``, every other distance is the
-        same as without a limit.  Only the mesh takes ``limit``.  Foreign
-        charts raise DomainError, as in every :meth:`distances`."""
+        segment between its points (:meth:`Chart.short_step`).  Dijkstra
+        stops at ``limit``: a pair of nodes farther apart reads ``inf``,
+        every other distance is the same bit for bit as without a limit.
+        Only the mesh takes ``limit``.  Foreign charts raise DomainError,
+        as in every :meth:`distances`."""
         from scipy.sparse.csgraph import dijkstra
 
-        n = 97
+        n = _MESH_NODES
         box, h, graph = self._mesh(n)
         _chart(self, chart_p), _chart(self, chart_q)      # the box is the one chart
         modes = ["wrap" if per else "clip" for per in box.periodic]
@@ -206,24 +209,21 @@ class Surface:
         out = dijkstra(graph, directed=False, indices=sources, limit=limit)[row[:, None], iq]
         a, b = np.nonzero(ip[:, None] == iq)
         if a.size:
-            d, span = Q[b] - P[a], box.hi - box.lo
-            d = np.where(box.periodic, d - span * np.round(d / span), d)
-            out[a, b] = midpoint_rule(self, box.name, P[a], P[a] + d)[0]
+            out[a, b] = midpoint_rule(self, box.name, P[a], P[a] + box.short_step(Q[b] - P[a]))[0]
         return out
 
     def geodesic_midpoint(self, chart, p, q):
         """Midpoint of the short geodesic from p to q in one chart.
 
         Second-order accurate Christoffel-corrected chart midpoint; exact
-        on flat charts, overridden analytically on the sphere.
+        on flat charts, overridden analytically on the sphere.  DomainError
+        unless ``chart`` is a chart of this surface, as in every override.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        mid = 0.5 * (p + q)
-        delta = q - p
-        gam = self.christoffel(chart, mid)
-        corr = np.einsum("...kij,...i,...j->...k", gam, delta, delta)
-        return mid - 0.125 * corr
+        _chart(self, chart)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        mid, delta = 0.5 * (p + q), q - p
+        return mid - 0.125 * np.einsum("...kij,...i,...j->...k", self.christoffel(chart, mid),
+                                       delta, delta)
 
     def _mesh(self, n):
         """The cached ``(box, h, graph)`` of the n x n distance grid on the
@@ -245,6 +245,10 @@ class Surface:
             w = midpoint_rule(self, box.name, a, b)[0]
             self._mesh_cache[n] = box, h, csr_matrix((w, indices, indptr), shape=(n * n, n * n))
         return self._mesh_cache[n]
+
+
+#: nodes per axis of the distance mesh of :meth:`Surface.distances`
+_MESH_NODES = 97
 
 
 @functools.lru_cache(maxsize=4)
@@ -307,13 +311,13 @@ class FlatTorus(Surface):
         return out
 
     def metric_deriv(self, chart, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
+        return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
 
     def area_density(self, chart, x):
         return np.ones(np.shape(x)[:-1])
 
     def geodesic_midpoint(self, chart, p, q):
+        _chart(self, chart)
         return 0.5 * (np.asarray(p, dtype=float) + np.asarray(q, dtype=float))
 
     def quadrature(self, n):
@@ -397,34 +401,36 @@ class Sphere(Surface):
         u[..., 0] = 2 * x[..., 0] / denom
         u[..., 1] = 2 * x[..., 1] / denom
         u[..., 2] = (1.0 - r2) / denom
-        if chart == "south":
+        if _chart(self, chart).name == "south":
             u[..., 1] = -u[..., 1]
             u[..., 2] = -u[..., 2]
         return self.radius * u
 
     def unembed(self, chart, u):
         u = np.asarray(u, dtype=float) / self.radius
-        if chart == "south":
+        if _chart(self, chart).name == "south":
             u = u * np.array([1.0, -1.0, -1.0])
-        denom = 1.0 + u[..., 2]
-        return np.stack([u[..., 0] / denom, u[..., 1] / denom], axis=-1)
+        return u[..., :2] / (1.0 + u[..., 2:])
 
     closed_form_distances = True
 
     def distances(self, chart_p, P, chart_q, Q):
-        """Great-circle distances between the embedded points."""
-        _chart(self, chart_p), _chart(self, chart_q)
+        """Great-circle distances between the points :meth:`embed` places."""
         up = self.embed(chart_p, P) / self.radius
         uq = self.embed(chart_q, Q) / self.radius
         return self.radius * np.arccos(np.clip(up @ uq.T, -1.0, 1.0))
 
     def geodesic_midpoint(self, chart, p, q):
-        up = self.embed(chart, p)
-        uq = self.embed(chart, q)
-        m = up + uq
-        nrm = np.linalg.norm(m, axis=-1, keepdims=True)
-        m = self.radius * m / nrm
-        return self.unembed(chart, m)
+        """Midpoint of the short great-circle arc from p to q, in closed form:
+        with E(x) = (2x, 1 - |x|^2) / (1 + |x|^2) and m = E(p) + E(q), it is
+        (m1, m2) / (|m| + m3) in either chart (the south chart's sign flips
+        cancel) at any radius: :meth:`embed`, normalise, :meth:`unembed`."""
+        _chart(self, chart)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        sp, sq = (p * p).sum(axis=-1, keepdims=True), (q * q).sum(axis=-1, keepdims=True)
+        m12 = 2 * p / (1.0 + sp) + 2 * q / (1.0 + sq)
+        m3 = (1.0 - sp) / (1.0 + sp) + (1.0 - sq) / (1.0 + sq)
+        return m12 / (np.sqrt((m12 * m12).sum(axis=-1, keepdims=True) + m3 * m3) + m3)
 
     def quadrature(self, n):
         """Polar midpoint grids on the unit disk of each chart.
@@ -433,16 +439,13 @@ class Sphere(Surface):
         only along the equator (measure zero), which plays the role of a
         partition of unity without double counting.
         """
-        out = []
         nr, nphi = n, 2 * n
         rho = (np.arange(nr) + 0.5) / nr
         phi = 2 * np.pi * (np.arange(nphi) + 0.5) / nphi
         rr, pp = np.meshgrid(rho, phi, indexing="ij")
         pts = np.stack([(rr * np.cos(pp)).ravel(), (rr * np.sin(pp)).ravel()], axis=-1)
         w = (rr.ravel() / nr) * (2 * np.pi / nphi)
-        for chart in ("north", "south"):
-            out.append((chart, pts, w))
-        return out
+        return [(chart, pts, w) for chart in ("north", "south")]
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +497,7 @@ class Dumbbell(Surface):
     def metric(self, chart, x):
         x = np.asarray(x, dtype=float)
         u = x[..., 0]
-        r = self.profile(u)
-        rp = self.profile_deriv(u)
+        r, rp = self.profile(u), self.profile_deriv(u)
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 0] = 1.0 + rp * rp
         out[..., 1, 1] = r * r
@@ -504,9 +506,7 @@ class Dumbbell(Surface):
     def metric_deriv(self, chart, x):
         x = np.asarray(x, dtype=float)
         u = x[..., 0]
-        r = self.profile(u)
-        rp = self.profile_deriv(u)
-        rpp = self.profile_deriv2(u)
+        r, rp, rpp = self.profile(u), self.profile_deriv(u), self.profile_deriv2(u)
         out = np.zeros(x.shape[:-1] + (2, 2, 2))
         out[..., 0, 0, 0] = 2.0 * rp * rpp
         out[..., 0, 1, 1] = 2.0 * r * rp
@@ -514,12 +514,11 @@ class Dumbbell(Surface):
 
     def quadrature(self, n):
         m = self.u_margin
-        nu, nth = n, n
-        u = m + (1.0 - 2 * m) * (np.arange(nu) + 0.5) / nu
-        th = 2 * np.pi * (np.arange(nth) + 0.5) / nth
+        u = m + (1.0 - 2 * m) * (np.arange(n) + 0.5) / n
+        th = 2 * np.pi * (np.arange(n) + 0.5) / n
         uu, tt = np.meshgrid(u, th, indexing="ij")
         pts = np.stack([uu.ravel(), tt.ravel()], axis=-1)
-        w = np.full(len(pts), (1.0 - 2 * m) / nu * 2 * np.pi / nth)
+        w = np.full(len(pts), (1.0 - 2 * m) / n * 2 * np.pi / n)
         return [("main", pts, w)]
 
 
@@ -679,9 +678,8 @@ class DumbbellWidthFamily:
 
         def dphi(chart, x):
             x = np.asarray(x, dtype=float)
-            u = x[..., 0]
             out = np.zeros(x.shape)
-            out[..., 0] = t * self.ramp_deriv(u) / (1.0 + t * self.ramp(u))
+            out[..., 0] = t * self.ramp_deriv(x[..., 0]) / (1.0 + t * self.ramp(x[..., 0]))
             return out
 
         return _ScaledSurface(self.base, phi, dphi, name=f"dumbbell@t={t}")

@@ -96,8 +96,7 @@ def eps_close(f_samples, g_samples, delta, eps):
 
     Returns (flag, attained sup); the comparison is strict.
     """
-    f = np.asarray(f_samples, dtype=float)
-    g = np.asarray(g_samples, dtype=float)
+    f, g = np.asarray(f_samples, dtype=float), np.asarray(g_samples, dtype=float)
     if f.shape != g.shape:
         raise ValueError("sample grids do not match")
     sup = float(np.max(np.abs(f - g))) / float(delta)
@@ -113,8 +112,7 @@ class LinearlyPerturbedSurface(DerivedSurface):
 
     def __init__(self, base: Surface, tensor, tensor_deriv, s):
         super().__init__(base, f"{base.name}+sT")
-        self._T = tensor
-        self._dT = tensor_deriv
+        self._T, self._dT = tensor, tensor_deriv
         self.s = float(s)
 
     def metric(self, chart, x):
@@ -166,8 +164,7 @@ def _battery_nets(torus):
         ("circle(3,4)", torus_geodesic((3, 4), offset=(0.0, 0.0), samples=256)),
         ("circle(1,0)xmult3", torus_geodesic((1, 0), offset=(0.0, 0.0), mult=3)),
     ]
-    theta = torus_theta_net([(1, 0), (0, 1), (-1, -1)])
-    theta = solve_stationary(theta, torus).net
+    theta = solve_stationary(torus_theta_net([(1, 0), (0, 1), (-1, -1)]), torus).net
     nets.append(("theta-junction", theta))
     return nets
 

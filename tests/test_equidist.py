@@ -258,6 +258,19 @@ def test_min_norm_point_simplex():
     assert np.allclose(x, [2.0, 0.0], atol=1e-10)
 
 
+def test_min_norm_point_refuses_empty_and_non_finite_rows():
+    # a NaN row once got weight 1 and the point [nan, 1]; no rows once
+    # raised NumPy's "attempt to get argmin of an empty sequence"
+    message = "min_norm_point needs at least one row, all of them finite"
+    for P in (np.zeros((0, 2)), [[np.nan, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(ValueError, match=message):
+            min_norm_point(P)
+    # the convex search passes the error through
+    samples = [(0.0, [1.0, np.nan]), (0.1, [-1.0, 0.0]), (0.2, [0.0, 1.0])]
+    with pytest.raises(ValueError, match=message):
+        convex_gradient_search(samples, 0.1)
+
+
 def _hull_min_norm_reference(P):
     """The min-norm point of Conv(rows of P) by nonnegative least squares,
     with sum(w) = 1 as a heavily weighted extra row."""

@@ -434,6 +434,43 @@ def test_torus_distance_is_half_across_half_a_period(torus, P, axis, sign):
     assert np.all(np.diag(torus.distances("main", P, "main", Q)) == 0.5)
 
 
+def _embedding_midpoint(sphere, chart, p, q):
+    """The sphere midpoint as first computed: embed, normalise, unembed."""
+    m = sphere.embed(chart, p) + sphere.embed(chart, q)
+    return sphere.unembed(chart, sphere.radius * m / np.linalg.norm(m, axis=-1, keepdims=True))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 4), min_size=1, max_size=6).map(
+    lambda r: np.array(r, dtype=float).reshape(-1, 2, 2)), chart=st.sampled_from(["north", "south"]))
+def test_sphere_midpoint_closed_form_matches_embedding(sphere, pairs, chart):
+    # pairs at most a quarter circle apart with |x| <= 1.5; a sweep's
+    # neighbours are far nearer, and near antipodes the midpoint is
+    # ill-conditioned in either form
+    p, q = pairs[:, 0], pairs[:, 1]
+    near = ((np.hypot(*p.T) <= 1.5) & (np.hypot(*q.T) <= 1.5)
+            & (np.sum(sphere.embed(chart, p) * sphere.embed(chart, q), axis=-1) >= 0.0))
+    got = sphere.geodesic_midpoint(chart, p[near], q[near])
+    assert np.max(np.abs(got - _embedding_midpoint(sphere, chart, p[near], q[near])), initial=0.0) <= 1e-15
+
+
+def test_point_maps_refuse_a_foreign_chart(torus, sphere):
+    # each once answered: the sphere read 'main' as its north chart, the
+    # torus returned (p + q) / 2 on 'north', and the Christoffel midpoint
+    # of a derived surface measured any chart as its own
+    p, q = np.array([[0.1, 0.2]]), np.array([[0.4, 0.3]])
+    conformal = ConformalFamily(torus, [constant_field(1.0)]).at([0.2])
+    calls = [(sphere, "main", lambda: sphere.geodesic_midpoint("main", p, q)),
+             (torus, "north", lambda: torus.geodesic_midpoint("north", p, q)),
+             (conformal, "north", lambda: conformal.geodesic_midpoint("north", p, q)),
+             (sphere, "main", lambda: sphere.embed("main", p)),
+             (sphere, "main", lambda: sphere.unembed("main", [[0.0, 0.6, 0.8]]))]
+    for surf, chart, call in calls:
+        with pytest.raises(DomainError, match=f"chart '{chart}' is not a chart of ") as err:
+            call()
+        assert str(err.value).endswith(surf.name)
+
+
 def test_torus_distances_allocate_one_candidate_per_pair(torus, rng):
     P, Q = rng.uniform(0, 1, size=(400, 2)), rng.uniform(0, 1, size=(400, 2))
     tracemalloc.start()

@@ -10,7 +10,7 @@ from geonets import (ConformalFamily, DomainError, Edge, GammaNet, ScalarField,
                      WeightedMultigraph, birkhoff_shorten, build_sweepout, constant_field,
                      dumbbell_circle, dumbbell_realizer, dumbbell_width, minmax_upper_bound,
                      sphere_latitude, weyl_ratio_probe)
-from geonets.minmax import _birkhoff_sweep, _bounded_minimize
+from geonets.minmax import _birkhoff_sweep, _bounded_minimize, _sweep_plan
 from geonets.surfaces import Dumbbell, DumbbellWidthFamily
 
 
@@ -107,9 +107,9 @@ def test_birkhoff_matches_sequential_sweeps(kind, points, torus, sphere):
     # torus loops hand off to Newton, so one red-black sweep is compared
     ref_path, _ = _reference_birkhoff(loop, metric, max_sweeps=1)
     chart, pts = loop.edge_paths[0]
-    y, offset = pts[:-1].copy(), pts[-1] - pts[0]
-    _birkhoff_sweep(metric, chart, y, offset)
-    assert np.max(np.abs(np.vstack([y, y[0] + offset]) - ref_path)) <= 1e-13
+    ext, blocks, offset = _sweep_plan(pts)
+    _birkhoff_sweep(metric, chart, ext, blocks, offset)
+    assert np.max(np.abs(ext[1:] - ref_path)) <= 1e-13
 
 
 def test_torus_width_recipes(torus):

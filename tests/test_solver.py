@@ -732,17 +732,51 @@ def _unlimited_least_distance(metric, chart_p, P, chart_q, Q, keep):
 def test_limited_least_distance_is_bit_identical(torus, dumbbell, monkeypatch):
     bump = ScalarField(lambda c, x: np.cos(2 * np.pi * np.asarray(x)[..., 0]))
     conformal = ConformalFamily(torus, [bump]).at([0.2])
-    member = DumbbellWidthFamily(dumbbell).at(0.15)
-    cases = [(dumbbell_circle(dumbbell, 0.5), dumbbell, n) for n in (9, 13, 33)]
-    cases += [(dumbbell_circle(dumbbell, 0.5), member, 9),
-              (torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=24), conformal, 17)]
+    family = DumbbellWidthFamily(dumbbell)
+    cases = [(dumbbell_circle(dumbbell, 0.5), dumbbell, n) for n in (9, 13, 17, 33)]
+    cases += [(dumbbell_circle(dumbbell, 0.5), family.at(t), 9) for t in (0.15, -0.2)]
+    cases += [(torus_theta_net([(1, 0), (0, 1), (-1, -1)], samples=24), conformal, 17)]
     limited = [embeddedness_certificate(net, metric, M_bound=12, cert_samples=n)
                for net, metric, n in cases]
+
+    # the waist point and one a node row above it: their chart segment
+    # (0.006) is below one mesh step (1/96), the first limit, and the mesh
+    # edge between their nodes is longer than that step, so the limit doubles
+    limits, distances = [], dumbbell.distances
+
+    def recording(*args, limit):
+        limits.append(limit)
+        return distances(*args, limit=limit)
+
+    P, Q = np.array([[0.5, 0.0]]), np.array([[0.506, 0.0]])
+    monkeypatch.setattr(dumbbell, "distances", recording)
+    least = solver._least_distance(dumbbell, "main", P, "main", Q, np.ones((1, 1), dtype=bool))
+    monkeypatch.undo()
+    assert limits == [1 / 96, 2 / 96]
+    assert least == dumbbell.distance("main", P[0], "main", Q[0]) < limits[1]
+
     monkeypatch.setattr(solver, "_least_distance", _unlimited_least_distance)
     for cert, (net, metric, n) in zip(limited, cases):
         ref = embeddedness_certificate(net, metric, M_bound=12, cert_samples=n)
         assert cert.dE_min == ref.dE_min
         assert cert.dEE_min == ref.dEE_min
+
+
+def test_a_net_with_non_finite_coordinates_fails_at_once(torus):
+    # the NaN loop once ran all 2,000 solver steps to max_iter with residual
+    # nan, and both certificates returned results on it: NaN fails every
+    # comparison, so the closure test passed it
+    spike, loose = torus_geodesic((1, 0)), torus_geodesic((1, 0))
+    chart, pts = spike.edge_paths[0]
+    spike.edge_paths[0] = (chart, np.where(np.arange(len(pts))[:, None] == 5, np.inf, pts))
+    loose.vertex_points["v"] = ("main", np.array([np.nan, 0.0]))
+    nets = [(torus_geodesic((1, 0), (np.nan, 0)), "has a non-finite sample"),
+            (spike, "has a non-finite sample"), (loose, "is not closed by a lattice shift")]
+    for net, message in nets:
+        for check in (solve_stationary, stationarity_residual, closed_geodesic_certificate,
+                      lambda n, m: embeddedness_certificate(n, m, 12)):
+            with pytest.raises(DomainError, match=f"edge 0 on chart 'main' {message}"):
+                check(net, torus)
 
 
 def test_certificates_refuse_an_edge_the_solver_refuses(torus, dumbbell):
